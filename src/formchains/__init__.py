@@ -27,22 +27,18 @@ from .extend import (
     extended_bracket,
     extended_chain_dim,
     extended_complex,
-    forms_system,
     k_split_dims,
 )
 from .forms import basis_form, ext_d, interior, sigma, super_bracket, wedge
 from .homology import (
     HomologyReport,
-    betti_numbers,
     betti_pattern_dim2,
     betti_row,
     betti_table,
     complex_homology,
-    euler_characteristic,
     homology_csv,
     homology_json,
     homology_text,
-    kernel_dims,
     rank_formula_check,
 )
 from .liealg import (
@@ -70,11 +66,13 @@ from .polyforms import (
 from .superchain import (
     EnumerationCapExceeded,
     Level,
+    TokenSystem,
     WeightedComplex,
     chain_dim,
     chain_dim_formula_n3,
     enumerate_monomials,
     forms_complex,
+    forms_system,
     format_monomial,
 )
 
@@ -88,9 +86,9 @@ __all__ = [
     "Level",
     "LieAlgebraSpec",
     "SparseRationalMatrix",
+    "TokenSystem",
     "WeightedComplex",
     "basis_form",
-    "betti_numbers",
     "betti_pattern_dim2",
     "betti_row",
     "betti_table",
@@ -105,7 +103,6 @@ __all__ = [
     "double_weight_betti",
     "double_weight_complex",
     "enumerate_monomials",
-    "euler_characteristic",
     "ext_d",
     "extended_betti",
     "extended_bracket",
@@ -120,7 +117,6 @@ __all__ = [
     "interior",
     "k_split_dims",
     "kernel_dim",
-    "kernel_dims",
     "lie_derivative",
     "load_structure_constants",
     "monomial_form",

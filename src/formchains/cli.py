@@ -22,7 +22,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .extend import check_system_jacobi, extended_betti, forms_system
+from .extend import check_system_jacobi, extended_betti
 from .homology import (
     betti_row,
     betti_table,
@@ -32,7 +32,7 @@ from .homology import (
 )
 from .liealg import catalog, load_structure_constants, validate
 from .polyforms import double_weight_betti
-from .superchain import EnumerationCapExceeded, chain_dim
+from .superchain import EnumerationCapExceeded, chain_dim, forms_system
 
 EXIT_OK = 0
 EXIT_MATH = 1

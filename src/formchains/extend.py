@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .forms import all_subsets, ext_d, grade, interior, super_bracket, wedge
-from .homology import HomologyReport, complex_homology
-from .liealg import LieAlgebraSpec
-from .superchain import Level, WeightedComplex
+from .forms import _merge, _sign, add_into, add_term, all_subsets, grade, super_bracket
+from .homology import complex_homology
+from .superchain import Level, TokenSystem, forms_system  # forms_system: re-export
 
 
 def vector_token(i):
@@ -45,21 +44,6 @@ def extended_grade(token):
     return grade(payload)
 
 
-def _sort_indices(seq):
-    # sign of sorting a word of 1-form indices; 0 on a repeated index
-    idx = list(seq)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and idx[j - 1] == idx[j]:
-            return 0, None
-    return sign, tuple(idx)
-
-
 def lie_derivative(i, f, spec):
     """L_{xi_i} applied to a form (dict subset -> coefficient).
 
@@ -69,18 +53,15 @@ def lie_derivative(i, f, spec):
     out = {}
     for subset, cf in f.items():
         for t, a in enumerate(subset):
+            rest = subset[:t] + subset[t + 1:]
             for k in range(1, spec.n + 1):
                 c = spec.structure_constant(i, k, a)   # c^a_{ik}
                 if not c:
                     continue
-                s, srt = _sort_indices(subset[:t] + (k,) + subset[t + 1:])
-                if not s:
-                    continue
-                v = out.get(srt, Fraction(0)) - cf * c * s
-                if v:
-                    out[srt] = v
-                else:
-                    out.pop(srt, None)
+                # k moves from slot t to the front, then merges into the rest
+                s, srt = _merge((k,), rest)
+                if s:
+                    add_term(out, srt, -cf * c * s * _sign(t))
     return out
 
 
@@ -100,51 +81,16 @@ def extended_bracket(x, y, spec):
                                       {py: Fraction(1)}, spec).items()}
 
 
-# --- generic graded token systems -------------------------------------------------
-
-@dataclass(frozen=True)
-class TokenSystem:
-    """A finite basis of graded tokens with a bracket table."""
-
-    levels: tuple     # Level instances, one per occupied grade
-    grades: dict      # token -> grade
-    table: dict       # (token, token) -> dict token -> coefficient
-
-    def grade_of(self, token):
-        return self.grades[token]
-
-    def bracket(self, a, b):
-        return self.table.get((a, b), {})
-
-    @property
-    def tokens(self):
-        return tuple(sorted(self.grades, key=lambda t: (-self.grades[t], t)))
-
-    def complex(self, cap=None):
-        return WeightedComplex(self.levels, self.grade_of, self.bracket,
-                               cap=cap)
-
-
 def extended_system(spec, include_vectors=True):
     levels = []
-    grades = {}
     if include_vectors:
-        vecs = tuple(("v", i) for i in range(1, spec.n + 1))
-        levels.append(Level(0, 0, vecs))
-        grades.update((v, 0) for v in vecs)
+        levels.append(Level(0, 0, tuple(("v", i) for i in range(1, spec.n + 1))))
     by_grade = {}
     for subset in all_subsets(spec.n):
-        tok = ("f", subset)
-        g = grade(subset)
-        grades[tok] = g
-        by_grade.setdefault(g, []).append(tok)
+        by_grade.setdefault(grade(subset), []).append(("f", subset))
     for g in sorted(by_grade, reverse=True):
         levels.append(Level(g, g, tuple(sorted(by_grade[g]))))
-    toks = tuple(grades)
-    table = {(a, b): extended_bracket(a, b, spec)
-             for a in toks for b in toks}
-    table = {k: v for k, v in table.items() if v}
-    return TokenSystem(tuple(levels), grades, table)
+    return TokenSystem(levels, lambda a, b: extended_bracket(a, b, spec))
 
 
 def extended_complex(spec, cap=None, include_vectors=True):
@@ -183,12 +129,7 @@ def _bilinear(table_bracket, fx, fy):
     out = {}
     for x, cx in fx.items():
         for y, cy in fy.items():
-            for t, v in table_bracket(x, y).items():
-                s = out.get(t, Fraction(0)) + cx * cy * v
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+            add_into(out, table_bracket(x, y), cx * cy)
     return out
 
 
@@ -209,7 +150,7 @@ class JacobiReport:
 def check_system_jacobi(system, bracket=None):
     """Exhaustive super Jacobi over all basis-token triples of a system.
 
-    bracket overrides the system's table (for negative controls).
+    bracket overrides the system's own (for negative controls).
     """
     br = bracket or system.bracket
     toks = system.tokens
@@ -227,13 +168,7 @@ def check_system_jacobi(system, bracket=None):
                     ((-1) ** (gy * gx), br(y, z), x),
                     ((-1) ** (gz * gy), br(z, x), y),
                 ):
-                    part = _bilinear(br, fa, {b: Fraction(1)})
-                    for t, v in part.items():
-                        s = res.get(t, Fraction(0)) + sign * v
-                        if s:
-                            res[t] = s
-                        else:
-                            res.pop(t, None)
+                    add_into(res, _bilinear(br, fa, {b: Fraction(1)}), sign)
                 if res:
                     return JacobiReport(False, checked, (x, y, z), res)
     return JacobiReport(True, checked)
@@ -246,33 +181,16 @@ def check_extended_jacobi(spec, bracket=None):
 
 # --- trivially long composites -----------------------------------------------------
 
-def forms_system(spec):
-    """The plain form superalgebra as a TokenSystem (untagged subsets)."""
-    from .forms import bracket_table
-    from .superchain import form_levels
-
-    levels = form_levels(spec.n)
-    grades = {}
-    for lv in levels:
-        for t in lv.tokens:
-            grades[t] = lv.grade
-    table = {k: v for k, v in bracket_table(spec).items() if v}
-    return TokenSystem(tuple(levels), grades, table)
-
-
 def multivector_system(n):
     """Wedge powers of vector fields, grade of a j-vector is j - 1, j >= 1.
 
     The bracket is identically zero: a stand-in occupying the non-negative
     grades, to be glued below a form system.
     """
-    levels = []
-    grades = {}
-    for j in range(1, n + 1):
-        toks = tuple(("mv", c) for c in combinations(range(1, n + 1), j))
-        levels.append(Level(j - 1, j - 1, toks))
-        grades.update((t, j - 1) for t in toks)
-    return TokenSystem(tuple(levels), grades, {})
+    levels = [Level(j - 1, j - 1,
+                    tuple(("mv", c) for c in combinations(range(1, n + 1), j)))
+              for j in range(1, n + 1)]
+    return TokenSystem(levels, lambda a, b: {})
 
 
 def trivially_long(neg, pos):
@@ -288,7 +206,12 @@ def trivially_long(neg, pos):
         raise ValueError("non-negative-side system occupies grade < 0")
     if set(neg.grades) & set(pos.grades):
         raise ValueError("token names collide between the two systems")
-    grades = {**neg.grades, **pos.grades}
-    table = {**neg.table, **pos.table}
-    levels = tuple(sorted(neg.levels + pos.levels, key=lambda lv: -lv.grade))
-    return TokenSystem(levels, grades, table)
+
+    def bracket(a, b):
+        for side in (neg, pos):
+            if a in side.grades and b in side.grades:
+                return side.bracket(a, b)
+        return {}
+
+    levels = sorted(neg.levels + pos.levels, key=lambda lv: -lv.grade)
+    return TokenSystem(levels, bracket)

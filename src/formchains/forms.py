@@ -55,14 +55,19 @@ def all_subsets(n: int):
         yield from combinations(range(1, n + 1), a)
 
 
+def add_term(acc: dict, key, val) -> None:
+    """acc[key] += val, dropping the key when the sum is exactly zero."""
+    v = acc.get(key, Fraction(0)) + val
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
 def add_into(acc: Form, other: Form, factor=1) -> None:
     f = Fraction(factor)
     for key, v in other.items():
-        w = acc.get(key, Fraction(0)) + v * f
-        if w:
-            acc[key] = w
-        else:
-            acc.pop(key, None)
+        add_term(acc, key, v * f)
 
 
 def _merge(a: tuple, b: tuple):
@@ -92,11 +97,7 @@ def wedge(f: Form, g: Form) -> Form:
         for kb, vb in g.items():
             s, merged = _merge(ka, kb)
             if s:
-                w = out.get(merged, Fraction(0)) + s * va * vb
-                if w:
-                    out[merged] = w
-                else:
-                    out.pop(merged, None)
+                add_term(out, merged, s * va * vb)
     return out
 
 
@@ -141,12 +142,7 @@ def interior(i: int, f: Form) -> Form:
     for key, v in f.items():
         for t, idx in enumerate(key):
             if idx == i:
-                reduced = key[:t] + key[t + 1:]
-                w = out.get(reduced, Fraction(0)) + v * _sign(t)
-                if w:
-                    out[reduced] = w
-                else:
-                    out.pop(reduced, None)
+                add_term(out, key[:t] + key[t + 1:], v * _sign(t))
                 break  # indices are distinct; xi_i matches at most once
     return out
 

@@ -46,17 +46,23 @@ class HomologyReport:
 def complex_homology(cx, w, m_top, name):
     """Homology report of any WeightedComplex at weight w, m = 1 .. m_top.
 
-    m_top must be chosen so the complex vanishes above it (checked).
+    m_top must be chosen so the complex vanishes above it (checked before
+    any rank is computed).  A negative Betti number means the boundary does
+    not square to zero; it raises ArithmeticError.
     """
-    dims = [cx.dim(m, w) for m in range(1, m_top + 1)]
-    ranks = [cx.boundary_matrix(m, w).rank() for m in range(1, m_top + 1)]
     if cx.dim(m_top + 1, w):
         raise ValueError(f"complex does not vanish above m = {m_top}")
+    dims = [cx.dim(m, w) for m in range(1, m_top + 1)]
+    ranks = [cx.boundary_matrix(m, w).rank() for m in range(1, m_top + 1)]
     kernels = [d - r for d, r in zip(dims, ranks)]
     # rank of bd_{m_top+1} is 0: C_{m_top+1}^w is empty
     betti = [kernels[i] - (ranks[i + 1] if i + 1 < m_top else 0)
              for i in range(m_top)]
-    rep = HomologyReport(
+    if any(b < 0 for b in betti):
+        raise ArithmeticError(
+            f"{name} at weight {w}: negative Betti numbers {tuple(betti)}"
+        )
+    return HomologyReport(
         algebra=name,
         weight=w,
         dims=tuple(dims),
@@ -64,22 +70,11 @@ def complex_homology(cx, w, m_top, name):
         kernels=tuple(kernels),
         betti=tuple(betti),
     )
-    # Euler characteristic via dimensions and via Betti numbers must agree
-    assert rep.euler == sum((-1) ** m * b
-                            for m, b in enumerate(rep.betti, start=1))
-    return rep
 
 
 def betti_row(spec, w, cap=None, name=None):
     """Full dim/rank/kernel/Betti report of C_*^w for one algebra."""
-    if w >= 0:
-        raise ValueError("weight must be negative")
-    cx = forms_complex(spec, cap=cap)
-    return complex_homology(cx, w, -w, name or spec.name or "?")
-
-
-# keep the descriptive alias: a report is more than its Betti row
-weight_homology = betti_row
+    return betti_table(spec, [w], cap=cap, name=name)[0]
 
 
 def betti_table(spec, weights, cap=None, name=None):
@@ -92,18 +87,6 @@ def betti_table(spec, weights, cap=None, name=None):
             raise ValueError("weight must be negative")
         out.append(complex_homology(cx, w, -w, label))
     return out
-
-
-def betti_numbers(spec, w, cap=None):
-    return betti_row(spec, w, cap=cap).betti
-
-
-def kernel_dims(spec, w, cap=None):
-    return betti_row(spec, w, cap=cap).kernels
-
-
-def euler_characteristic(spec, w, cap=None):
-    return betti_row(spec, w, cap=cap).euler
 
 
 # --- classification of 3-dimensional algebras ----------------------------------

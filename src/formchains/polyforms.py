@@ -26,9 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .forms import _merge, _sign, add_into
+from .forms import _merge, _sign, add_into, add_term
 from .homology import complex_homology
-from .superchain import Level, WeightedComplex, enumerate_monomials
+from .superchain import Level, TokenSystem, WeightedComplex, enumerate_monomials
 
 PolyForm = dict    # {(exponent tuple, index subset): Fraction}
 PolyVector = dict  # {(exponent tuple, direction index): Fraction}
@@ -65,14 +65,6 @@ def _kind(elem) -> str:
     return kinds.pop() if kinds else "zero"
 
 
-def _addterm(acc, key, val) -> None:
-    v = acc.get(key, Fraction(0)) + val
-    if v:
-        acc[key] = v
-    else:
-        acc.pop(key, None)
-
-
 def token_grade(key) -> int:
     """Super grade of one term key: -(1+|A|) for forms, 0 for vectors."""
     return -(1 + len(key[1])) if isinstance(key[1], tuple) else 0
@@ -105,7 +97,7 @@ def poly_d(omega: PolyForm) -> PolyForm:
             if not s:
                 continue
             reduced = alpha[: i - 1] + (e - 1,) + alpha[i:]
-            _addterm(out, (reduced, merged), cf * e * s)
+            add_term(out, (reduced, merged), cf * e * s)
     return out
 
 
@@ -117,7 +109,7 @@ def poly_wedge(f: PolyForm, g: PolyForm) -> PolyForm:
             if not s:
                 continue
             gamma = tuple(x + y for x, y in zip(al, be, strict=True))
-            _addterm(out, (gamma, merged), s * va * vb)
+            add_term(out, (gamma, merged), s * va * vb)
     return out
 
 
@@ -129,7 +121,7 @@ def poly_interior(vec: PolyVector, omega: PolyForm) -> PolyForm:
             for t, idx in enumerate(A):
                 if idx == i:
                     gamma = tuple(x + y for x, y in zip(al, be, strict=True))
-                    _addterm(out, (gamma, A[:t] + A[t + 1:]),
+                    add_term(out, (gamma, A[:t] + A[t + 1:]),
                              cv * cf * _sign(t))
                     break  # indices are distinct: at most one slot matches
     return out
@@ -146,12 +138,12 @@ def vector_commutator(x: PolyVector, y: PolyVector) -> PolyVector:
             if e:
                 gamma = tuple(a + b for a, b in zip(al, be))
                 gamma = gamma[: i - 1] + (gamma[i - 1] - 1,) + gamma[i:]
-                _addterm(out, (gamma, j), cx * cy * e)
+                add_term(out, (gamma, j), cx * cy * e)
             e = al[j - 1]
             if e:
                 gamma = tuple(a + b for a, b in zip(al, be))
                 gamma = gamma[: j - 1] + (gamma[j - 1] - 1,) + gamma[j:]
-                _addterm(out, (gamma, i), -cx * cy * e)
+                add_term(out, (gamma, i), -cx * cy * e)
     return out
 
 
@@ -234,16 +226,8 @@ def double_weight_complex(n: int, h: int, m_top: int,
                           include_vectors=False, cap=None) -> WeightedComplex:
     """The chain complex over all doubly homogeneous generators."""
     levels = poly_levels(n, m_top, h, include_vectors)
-    memo: dict = {}
-
-    def bracket(ta, tb):
-        if (ta, tb) not in memo:
-            memo[(ta, tb)] = poly_bracket({ta: Fraction(1)},
-                                          {tb: Fraction(1)})
-        return memo[(ta, tb)]
-
-    return WeightedComplex(levels, token_grade, bracket,
-                           weight_of=token_weights, cap=cap)
+    return TokenSystem(levels, lambda ta, tb: poly_bracket(
+        {ta: Fraction(1)}, {tb: Fraction(1)})).complex(cap)
 
 
 def double_weight_basis(m: int, w: int, h: int, n: int,

@@ -23,14 +23,11 @@ from itertools import combinations, combinations_with_replacement
 
 from .exactla import SparseRationalMatrix
 from . import forms
+from .forms import _sign, add_term
 
 
 class EnumerationCapExceeded(Exception):
     """Raised when a basis enumeration grows past the configured cap."""
-
-
-def _sign(e: int) -> int:
-    return -1 if e % 2 else 1
 
 
 def _key(token, grade_of):
@@ -75,13 +72,8 @@ def boundary_of_monomial(mono, grade_of, bracket) -> dict:
             for tok, cf in br.items():
                 seq = mono[:i] + mono[i + 1: j] + (tok,) + mono[j + 1:]
                 s, canon = normalize(seq, grade_of)
-                if not s:
-                    continue
-                v = out.get(canon, Fraction(0)) + _sign(e) * s * cf
-                if v:
-                    out[canon] = v
-                else:
-                    out.pop(canon, None)
+                if s:
+                    add_term(out, canon, _sign(e) * s * cf)
     return out
 
 
@@ -94,21 +86,13 @@ def boundary_via_left_action(mono, grade_of, bracket) -> dict:
     Kept independent of boundary_of_monomial as a cross-check.
     """
     out: dict = {}
-
-    def addin(target, mono2, cf):
-        v = target.get(mono2, Fraction(0)) + cf
-        if v:
-            target[mono2] = v
-        else:
-            target.pop(mono2, None)
-
     if len(mono) <= 1:
         return out
     a0, rest = mono[0], mono[1:]
     for sub, cf in boundary_via_left_action(rest, grade_of, bracket).items():
         s, canon = normalize((a0,) + sub, grade_of)
         if s:
-            addin(out, canon, -cf * s)
+            add_term(out, canon, -cf * s)
     p0 = grade_of(a0) % 2
     acc = 0
     for i, tok_i in enumerate(rest):
@@ -117,7 +101,7 @@ def boundary_via_left_action(mono, grade_of, bracket) -> dict:
             seq = rest[:i] + (tok,) + rest[i + 1:]
             s, canon = normalize(seq, grade_of)
             if s:
-                addin(out, canon, _sign(e) * s * cf)
+                add_term(out, canon, _sign(e) * s * cf)
         acc += grade_of(tok_i) % 2
     return out
 
@@ -224,11 +208,10 @@ def monomial_weight(mono, weight_of):
 class WeightedComplex:
     """Bases and boundary matrices of the weighted chain spaces C_m^w."""
 
-    def __init__(self, levels, grade_of, bracket, weight_of=None, cap=None):
+    def __init__(self, levels, grade_of, bracket, cap=None):
         self.levels = list(levels)
         self.grade_of = grade_of
         self.bracket = bracket
-        self.weight_of = weight_of or (lambda t: grade_of(t))
         self.cap = cap
         self._basis_cache: dict = {}
 
@@ -262,6 +245,34 @@ class WeightedComplex:
         return self.boundary_matrix(m, w, image=boundary_via_left_action)
 
 
+class TokenSystem:
+    """Graded tokens, one Level per occupied slot, and their bracket.
+
+    bracket(a, b) returns {token: coefficient}; each pair is computed at most
+    once, on first use, and the result is shared, so callers must not mutate it.
+    """
+
+    def __init__(self, levels, bracket):
+        self.levels = tuple(levels)
+        self.grades = {t: lv.grade for lv in self.levels for t in lv.tokens}
+        self.grade_of = self.grades.__getitem__
+        self._compute = bracket
+        self._memo: dict = {}
+
+    def bracket(self, a, b):
+        out = self._memo.get((a, b))
+        if out is None:
+            out = self._memo[(a, b)] = self._compute(a, b)
+        return out
+
+    @property
+    def tokens(self):
+        return tuple(sorted(self.grades, key=lambda t: (-self.grades[t], t)))
+
+    def complex(self, cap=None) -> WeightedComplex:
+        return WeightedComplex(self.levels, self.grade_of, self.bracket, cap=cap)
+
+
 # --- the invariant-forms complex ---------------------------------------------
 
 def form_levels(n: int):
@@ -272,14 +283,15 @@ def form_levels(n: int):
     ]
 
 
+def forms_system(spec) -> TokenSystem:
+    """The invariant-forms superalgebra: basis subsets as tokens."""
+    return TokenSystem(form_levels(spec.n), lambda a, b: forms.super_bracket(
+        {a: Fraction(1)}, {b: Fraction(1)}, spec))
+
+
 def forms_complex(spec, cap=None) -> WeightedComplex:
     """The weighted chain complex of the invariant-forms superalgebra."""
-    table = forms.bracket_table(spec)
-
-    def bracket(a, b):
-        return table[(a, b)]
-
-    return WeightedComplex(form_levels(spec.n), forms.grade, bracket, cap=cap)
+    return forms_system(spec).complex(cap)
 
 
 def chain_dim(spec_or_n, m: int, w: int) -> int:

@@ -22,7 +22,7 @@ from formchains.extend import (
 )
 from formchains.homology import betti_row
 from formchains.liealg import catalog
-from formchains.superchain import chain_dim
+from formchains.superchain import Level, chain_dim
 
 CATALOG = ["so3", "sl2r", "d2(1)", "d2(-1)", "d1n", "d1y",
            "abelian(3)", "dim2", "abelian(2)"]
@@ -270,6 +270,21 @@ def test_trivially_long_cross_brackets_vanish():
     assert comp.bracket(("mv", (1,)), (1, 2)) == {}
     # the form side keeps its own bracket
     assert comp.bracket((), (1,)) == forms_system(g).bracket((), (1,))
+
+
+def test_trivially_long_cross_pairs_call_neither_side():
+    calls = []
+
+    def one_token_system(tag, g):
+        return TokenSystem([Level(g, g, ((tag, 1),))],
+                           lambda a, b: calls.append((a, b)) or {})
+
+    comp = trivially_long(one_token_system("n", -1), one_token_system("p", 0))
+    assert comp.bracket(("n", 1), ("p", 1)) == {}
+    assert comp.bracket(("p", 1), ("n", 1)) == {}
+    assert calls == []
+    assert comp.bracket(("p", 1), ("p", 1)) == {}
+    assert calls == [(("p", 1), ("p", 1))]
 
 
 def test_trivially_long_grade_validation():

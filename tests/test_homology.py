@@ -1,23 +1,26 @@
+import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import formchains
+from formchains.exactla import SparseRationalMatrix
 from formchains.homology import (
     HomologyReport,
-    betti_numbers,
     betti_pattern_dim2,
     betti_row,
     betti_table,
     classify_3d,
-    euler_characteristic,
+    complex_homology,
     homology_csv,
     homology_json,
     homology_text,
-    kernel_dims,
     predicted_rank,
     rank_comparison,
     rank_formula_check,
-    weight_homology,
 )
 from formchains.liealg import LieAlgebraSpec, catalog
 
@@ -74,20 +77,19 @@ REP = {"d3": "so3", "d2y": "d2(-1)", "d2n": "d2(1)", "d1y": "d1y", "d1n": "d1n"}
     (-3, KER3, BET3), (-5, KER5, BET5), (-10, KER10, BET10),
 ])
 def test_three_dim_kernel_and_betti_tables(family, w, ker_tab, bet_tab):
-    rep = weight_homology(catalog(REP[family]), w)
+    rep = betti_row(catalog(REP[family]), w)
     assert rep.kernels == ker_tab[family], (family, w)
     assert rep.betti == bet_tab[family], (family, w)
 
 
 def test_space_dims_rows():
-    rep = weight_homology(catalog("so3"), -10)
+    rep = betti_row(catalog("so3"), -10)
     assert rep.dims == (0, 0, 6, 38, 27, 18, 11, 6, 3, 1)
-    assert weight_homology(catalog("d1y"), -5).dims == (0, 10, 6, 3, 1)
+    assert betti_row(catalog("d1y"), -5).dims == (0, 10, 6, 3, 1)
 
 
 def test_euler_from_dims_equals_euler_from_betti():
-    # the assertion inside weight_homology covers it; spot-check values too
-    rep = weight_homology(catalog("so3"), -5)
+    rep = betti_row(catalog("so3"), -5)
     assert rep.euler == -0 + 10 - 6 + 3 - 1 - 0 - 0  # = sum (-1)^m dims
     assert rep.euler == sum((-1) ** m * b
                             for m, b in enumerate(rep.betti, start=1))
@@ -96,7 +98,7 @@ def test_euler_from_dims_equals_euler_from_betti():
 def test_dim2_betti_rows_match_pattern():
     g = catalog("dim2")
     for w in range(-12, 0):
-        assert betti_numbers(g, w) == betti_pattern_dim2(w), w
+        assert betti_row(g, w).betti == betti_pattern_dim2(w), w
 
 
 def test_dim2_pattern_values():
@@ -114,7 +116,7 @@ def test_dim2_pattern_values():
 def test_sl2r_betti_equals_so3():
     a, b = catalog("sl2r"), catalog("so3")
     for w in range(-10, 0):
-        assert betti_numbers(a, w) == betti_numbers(b, w), w
+        assert betti_row(a, w).betti == betti_row(b, w).betti, w
 
 
 @pytest.mark.parametrize("lam", [2, -3, Fraction(1, 5)])
@@ -123,29 +125,76 @@ def test_rescaling_leaves_betti_unchanged(lam):
         g = catalog(name)
         h = g.rescale(lam)
         for w in range(-6, 0):
-            assert betti_numbers(g, w) == betti_numbers(h, w), (name, w)
+            assert betti_row(g, w).betti == betti_row(h, w).betti, (name, w)
 
 
 def test_d2_kappa_betti_constant_in_kappa():
-    base = betti_numbers(catalog("d2(1)"), -5)
+    base = betti_row(catalog("d2(1)"), -5).betti
     for kappa in (2, 3, Fraction(1, 2)):
-        assert betti_numbers(catalog(f"d2({kappa})"), -5) == base
+        assert betti_row(catalog(f"d2({kappa})"), -5).betti == base
 
 
 def test_abelian_homology_is_whole_space():
-    rep = weight_homology(catalog("abelian(3)"), -4)
+    rep = betti_row(catalog("abelian(3)"), -4)
     assert rep.ranks == (0, 0, 0, 0)
     assert rep.betti == rep.dims == (1, 6, 3, 1)
 
 
 def test_euler_characteristic_convenience():
-    assert euler_characteristic(catalog("dim2"), -3) == 0 - 1 + 2 - 1
-    assert kernel_dims(catalog("so3"), -3) == (3, 0, 1)
+    assert betti_row(catalog("dim2"), -3).euler == 0 - 1 + 2 - 1
+    assert betti_row(catalog("so3"), -3).kernels == (3, 0, 1)
 
 
 def test_weight_must_be_negative():
     with pytest.raises(ValueError):
-        weight_homology(catalog("so3"), 0)
+        betti_row(catalog("so3"), 0)
+
+
+class DdNonzero:
+    """dims 1, 1 with both boundaries of rank 1, so bd o bd != 0."""
+
+    def __init__(self):
+        self.matrices = 0
+
+    def dim(self, m, w):
+        return 1 if m in (1, 2) else 0
+
+    def boundary_matrix(self, m, w):
+        self.matrices += 1
+        return SparseRationalMatrix(1, 1, {(0, 0): 1})
+
+
+def test_negative_betti_raises():
+    with pytest.raises(ArithmeticError, match="stub at weight -2"):
+        complex_homology(DdNonzero(), -2, 2, "stub")
+
+
+def test_negative_betti_raises_under_python_O():
+    script = "\n".join([
+        "from formchains.exactla import SparseRationalMatrix",
+        "from formchains.homology import complex_homology",
+        inspect.getsource(DdNonzero),
+        "print(__debug__)",
+        "try:",
+        "    complex_homology(DdNonzero(), -2, 2, 'stub')",
+        "except ArithmeticError as exc:",
+        "    print(exc)",
+        "else:",
+        "    raise SystemExit('no ArithmeticError')",
+    ])
+    src = os.path.dirname(os.path.dirname(formchains.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("False\nstub at weight -2"), proc.stdout
+
+
+def test_nonvanishing_top_fails_before_any_rank():
+    cx = DdNonzero()
+    with pytest.raises(ValueError, match="does not vanish above m = 1"):
+        complex_homology(cx, -2, 1, "stub")
+    assert cx.matrices == 0
 
 
 def test_betti_row_alias_and_table():
@@ -232,7 +281,7 @@ def test_rank_formula_check_reports():
 # --- serialization ---------------------------------------------------------------
 
 def test_csv_shape_and_determinism():
-    reps = [weight_homology(catalog("so3"), -3, name="so3")]
+    reps = [betti_row(catalog("so3"), -3, name="so3")]
     text = homology_csv(reps)
     lines = text.strip().split("\n")
     assert lines[0] == "algebra,weight,m,dim,rank,kernel,betti"
@@ -244,7 +293,7 @@ def test_csv_shape_and_determinism():
 def test_json_round_trip():
     import json
 
-    reps = [weight_homology(catalog("d1y"), -5, name="d1y")]
+    reps = [betti_row(catalog("d1y"), -5, name="d1y")]
     data = json.loads(homology_json(reps))
     assert data[0]["betti"] == [0, 8, 3, 2, 1]
     assert data[0]["euler"] == sum(
@@ -252,7 +301,7 @@ def test_json_round_trip():
 
 
 def test_text_rendering_mentions_euler():
-    out = homology_text([weight_homology(catalog("so3"), -3, name="so3")])
+    out = homology_text([betti_row(catalog("so3"), -3, name="so3")])
     assert "so3, w = -3" in out
     assert "Euler" in out
     assert "Betti" in out

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from formchains.liealg import catalog
 from formchains.superchain import (
     EnumerationCapExceeded,
     Level,
+    TokenSystem,
     boundary_of_monomial,
     boundary_via_left_action,
     chain_dim,
@@ -296,6 +298,21 @@ def test_boundary_matrix_shapes():
     mat1 = cx.boundary_matrix(1, -4)
     assert (mat1.nrows, mat1.ncols) == (0, 1)
     assert mat1.is_zero()
+
+
+def test_token_system_brackets_each_pair_once():
+    g = catalog("so3")
+    calls = Counter()
+
+    def counting(a, b):
+        calls[(a, b)] += 1
+        return forms.super_bracket({a: Fraction(1)}, {b: Fraction(1)}, g)
+
+    cx = TokenSystem(form_levels(3), counting).complex()
+    first = cx.boundary_matrix(4, -8)
+    assert cx.boundary_matrix(4, -8) == first
+    assert calls and set(calls.values()) == {1}
+    assert first == forms_complex(g).boundary_matrix(4, -8)
 
 
 def test_format_monomial():
