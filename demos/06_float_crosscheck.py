@@ -1,12 +1,12 @@
 """Cross-checking exact boundary ranks against floating-point SVD.
 
-Every rank in this package is computed by fraction-free elimination over
-Q, so there is no numerical tolerance anywhere in the library.  As an
-external sanity check, this script rebuilds a sweep of boundary matrices
-as dense float arrays and counts singular values above a tolerance.  The
-two rank computations agree on every matrix tested; the exact one remains
-authoritative (an SVD threshold can misjudge an ill-conditioned matrix,
-exact elimination cannot).
+Every rank in this package is computed by sparse Gaussian elimination over
+Q in exact Fraction arithmetic, so there is no numerical tolerance anywhere
+in the library.  As an external sanity check, this script rebuilds a sweep
+of boundary matrices as dense float arrays and counts singular values above
+a tolerance.  The two rank computations agree on every matrix tested; the
+exact one remains authoritative (an SVD threshold can misjudge an
+ill-conditioned matrix, exact elimination cannot).
 
 numpy is optional for the library; if it is missing the script just says
 so and exits cleanly.

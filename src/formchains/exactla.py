@@ -7,11 +7,6 @@ floating point is ever introduced, so ranks and kernel dimensions are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
-# Matrices strictly smaller than this (both dimensions) go through the dense
-# fraction-free path; anything larger is eliminated sparsely.
-DENSE_LIMIT = 64
 
 
 class SparseRationalMatrix:
@@ -83,12 +78,6 @@ class SparseRationalMatrix:
             out.entries = {rc: v * f for rc, v in self.entries.items()}
         return out
 
-    def to_dense(self) -> list[list[Fraction]]:
-        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def to_triplet_text(self) -> str:
         """Serialize as '<nrows> <ncols>' then one 'r c p/q' line per entry."""
         lines = [f"{self.nrows} {self.ncols}"]
@@ -99,20 +88,22 @@ class SparseRationalMatrix:
 
     @classmethod
     def from_triplet_text(cls, text: str) -> "SparseRationalMatrix":
-        lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
+        lines = [(no, ln.split("#", 1)[0].strip())
+                 for no, ln in enumerate(text.splitlines(), start=1)]
+        lines = [(no, ln) for no, ln in lines if ln]
         if not lines:
             raise ValueError("empty triplet text")
         try:
-            nrows, ncols = (int(t) for t in lines[0].split())
+            nrows, ncols = (int(t) for t in lines[0][1].split())
         except Exception as exc:
-            raise ValueError(f"bad triplet header {lines[0]!r}") from exc
+            raise ValueError(f"bad triplet header {lines[0][1]!r}") from exc
         out = cls(nrows, ncols)
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ValueError(f"bad triplet line {ln!r}")
-            out.add(int(parts[0]), int(parts[1]), Fraction(parts[2]))
+        for no, ln in lines[1:]:
+            try:
+                r, c, v = ln.split()
+                out.add(int(r), int(c), Fraction(v))
+            except (ValueError, ZeroDivisionError, IndexError) as exc:
+                raise ValueError(f"line {no}: bad triplet {ln!r}: {exc}") from exc
         return out
 
     def __repr__(self) -> str:
@@ -124,49 +115,18 @@ def _bitlen(v: Fraction) -> int:
     return abs(v.numerator).bit_length() + v.denominator.bit_length()
 
 
-def _rank_dense(mat: SparseRationalMatrix) -> int:
-    """Fraction-free (Bareiss) elimination on an integer-scaled dense copy."""
-    rows = []
-    for row in mat.to_dense():
-        scale = lcm(*(v.denominator for v in row)) if any(row) else 1
-        rows.append([int(v * scale) for v in row])
-    n, m = len(rows), mat.ncols
-    rank = 0
-    prev = 1
-    for col in range(m):
-        if rank == n:
-            break
-        # pivot: nonzero entry in this column with the fewest bits, first wins ties
-        best = None
-        for r in range(rank, n):
-            v = rows[r][col]
-            if v and (best is None or abs(v).bit_length() < abs(rows[best][col]).bit_length()):
-                best = r
-        if best is None:
-            continue
-        rows[rank], rows[best] = rows[best], rows[rank]
-        piv = rows[rank][col]
-        for r in range(rank + 1, n):
-            v = rows[r][col]
-            # Bareiss update; applies to every row so the exact division by the
-            # previous pivot stays valid (Sylvester identity)
-            rows[r] = [
-                (piv * rows[r][j] - v * rows[rank][j]) // prev
-                for j in range(m)
-            ]
-        prev = piv
-        rank += 1
-    return rank
+def rank(mat: SparseRationalMatrix) -> int:
+    """Exact rank over Q: sparse Gaussian elimination, columns left to right.
 
-
-def _rank_sparse(mat: SparseRationalMatrix) -> int:
-    """Sparse Gaussian elimination, columns left to right, smallest pivot bits."""
+    Each column pivots on its live entry with the fewest numerator plus
+    denominator bits, first row on ties.
+    """
     rows: dict[int, dict[int, Fraction]] = {}
     cols_of: dict[int, set[int]] = {}
     for (r, c), v in mat.entries.items():
         rows.setdefault(r, {})[c] = v
         cols_of.setdefault(c, set()).add(r)
-    rank = 0
+    pivots = 0
     for col in sorted(cols_of):
         live = [r for r in cols_of[col] if r in rows and col in rows[r]]
         if not live:
@@ -190,17 +150,8 @@ def _rank_sparse(mat: SparseRationalMatrix) -> int:
                     target.pop(c2, None)
             if not target:
                 del rows[r]
-        rank += 1
-    return rank
-
-
-def rank(mat: SparseRationalMatrix) -> int:
-    """Exact rank over Q."""
-    if not mat.entries:
-        return 0
-    if mat.nrows < DENSE_LIMIT and mat.ncols < DENSE_LIMIT:
-        return _rank_dense(mat)
-    return _rank_sparse(mat)
+        pivots += 1
+    return pivots
 
 
 def kernel_dim(mat: SparseRationalMatrix) -> int:

@@ -29,14 +29,6 @@ from .homology import complex_homology
 from .superchain import Level, TokenSystem, forms_system  # forms_system: re-export
 
 
-def vector_token(i):
-    return ("v", i)
-
-
-def form_token(subset):
-    return ("f", tuple(subset))
-
-
 def extended_grade(token):
     tag, payload = token
     if tag == "v":

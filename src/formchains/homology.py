@@ -346,7 +346,7 @@ def homology_text(reports):
             ("ker", [str(v) for v in rep.kernels]),
             ("Betti", [str(v) for v in rep.betti]),
         ]
-        width = max(5, *(len(v) for _, vals in rows for v in vals))
+        width = max([5] + [len(v) for _, vals in rows for v in vals])
         lines = [head]
         for label, vals in rows:
             lines.append(f"{label:>5} " + " ".join(v.rjust(width) for v in vals))

@@ -199,6 +199,8 @@ def poly_levels(n: int, m_top: int, h: int, include_vectors=False):
     Each factor has secondary weight >= -1, so m factors summing to h keep
     every factor's secondary weight at most h + m - 1.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1 variables, got n = {n}")
     smax = h + m_top - 1
     levels = []
     if include_vectors:

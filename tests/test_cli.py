@@ -179,6 +179,18 @@ def test_polyweight_vectors_allow_weight_zero(capsys):
     assert len(lines) == 4  # header + degrees 1..3
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_polyweight_rejects_nonpositive_n(n, capsys):
+    assert main(["polyweight", "--n", n, "--h", "0", "--w", "1"]) == 2
+    assert f"n = {n}" in capsys.readouterr().err
+
+
+def test_polyweight_text_with_no_degrees(capsys):
+    # h = -5 trims the support to m_top = 0: an empty table, not a crash
+    assert main(["polyweight", "--n", "1", "--h", "-5", "--w", "1"]) == 0
+    assert capsys.readouterr().out.endswith("Euler 0\n")
+
+
 # --- determinism and parallelism ----------------------------------------------------
 
 def test_jobs_do_not_change_bytes(capsys):

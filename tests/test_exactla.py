@@ -5,8 +5,6 @@ import pytest
 
 from formchains.exactla import (
     SparseRationalMatrix,
-    _rank_dense,
-    _rank_sparse,
     kernel_dim,
     rank,
 )
@@ -81,13 +79,34 @@ def test_rank_equals_transpose_rank():
         assert rank(m) == rank(m.transpose())
 
 
-def test_dense_and_sparse_paths_agree():
-    rng = random.Random(8)
-    for _ in range(40):
-        m = random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10), rng.randint(0, 5))
-        if m.is_zero():
-            continue
-        assert _rank_dense(m) == _rank_sparse(m)
+def known_rank_matrix(rng, nrows, ncols, k):
+    """[I_k; X] @ [I_k | Y] with rows and columns shuffled: rank exactly k."""
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 5]))
+        return 0
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    left = eye + [[entry() for _ in range(k)] for _ in range(nrows - k)]
+    right = [eye[i] + [entry() for _ in range(ncols - k)] for i in range(k)]
+    prod = from_rows(left) @ from_rows(right)
+    perm_r = rng.sample(range(nrows), nrows)
+    perm_c = rng.sample(range(ncols), ncols)
+    return SparseRationalMatrix(nrows, ncols, {
+        (perm_r[r], perm_c[c]): v for (r, c), v in prod.entries.items()
+    })
+
+
+def test_rank_of_known_rank_products():
+    # the answer k comes from the construction, not from the eliminator;
+    # shapes cover both sides of 64 in each dimension
+    rng = random.Random(3)
+    shapes = [(1, 1, 1), (2, 5, 2), (7, 3, 3), (12, 12, 12), (63, 63, 30),
+              (64, 64, 64), (70, 20, 15), (20, 70, 19), (70, 70, 45)]
+    shapes += [(nr, nc, rng.randint(1, min(nr, nc)))
+               for nr, nc in ((rng.randint(1, 70), rng.randint(1, 70)) for _ in range(10))]
+    for nrows, ncols, k in shapes:
+        m = known_rank_matrix(rng, nrows, ncols, k)
+        assert rank(m) == k, (nrows, ncols, k)
 
 
 def test_permutation_and_scaling_invariance():
@@ -113,12 +132,11 @@ def test_scale_by_zero_is_zero():
 
 
 def test_large_matrix_uses_sparse_path():
-    # 80x80 bidiagonal: rank 79 regardless of path, exercises the sparse code
+    # 80x80 bidiagonal: rank 79, a long chain of one-entry eliminations
     m = SparseRationalMatrix(80, 80)
     for i in range(79):
         m.add(i, i, 1)
         m.add(i, i + 1, -1)
-    assert m.nrows >= 64  # sanity: this goes through _rank_sparse
     assert rank(m) == 79
     assert kernel_dim(m) == 1
 
@@ -127,7 +145,7 @@ def test_matmul():
     a = from_rows([[1, 2, 0], [0, 1, -1]])
     b = from_rows([[1, 0], [0, 1], [1, 1]])
     prod = a @ b
-    assert prod.to_dense() == [[1, 2], [-1, 0]]
+    assert prod == from_rows([[1, 2], [-1, 0]])
     with pytest.raises(ValueError):
         b @ from_rows([[1, 2, 3]])
 
@@ -149,6 +167,10 @@ def test_triplet_rejects_garbage():
         SparseRationalMatrix.from_triplet_text("2 2\n0 0\n")
     with pytest.raises(ValueError):
         SparseRationalMatrix.from_triplet_text("nope\n")
+    with pytest.raises(ValueError, match="line 2"):
+        SparseRationalMatrix.from_triplet_text("1 1\n0 0 1/0\n")
+    with pytest.raises(ValueError, match="line 2"):
+        SparseRationalMatrix.from_triplet_text("1 1\n0 5 1\n")
 
 
 def test_add_accumulates_and_cancels():
