@@ -25,7 +25,6 @@ from .extend import (
     check_system_jacobi,
     extended_betti,
     extended_bracket,
-    extended_chain_dim,
     extended_complex,
     k_split_dims,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "ext_d",
     "extended_betti",
     "extended_bracket",
-    "extended_chain_dim",
     "extended_complex",
     "format_monomial",
     "forms_complex",

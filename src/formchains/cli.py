@@ -86,10 +86,16 @@ def gather_weights(args, floor: int) -> list:
 
 
 def resolve_cap(args):
+    """--cap, else FORMCHAINS_CAP, else no cap; a cap is an integer >= 0."""
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("FORMCHAINS_CAP")
-    return int(env) if env else None
+        source, text = "--cap", str(args.cap)
+    else:
+        source, text = "FORMCHAINS_CAP", os.environ.get("FORMCHAINS_CAP")
+        if not text:
+            return None
+    if not text.strip().isdecimal():
+        raise ValueError(f"{source} must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 # --- per-weight workers (module level so --jobs can pickle them) ---------------
@@ -105,8 +111,10 @@ def _report_worker(task):
 
 
 def run_reports(tasks, jobs):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts every worker up front: never more than there are tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_report_worker, tasks))
     return [_report_worker(t) for t in tasks]
 
@@ -200,9 +208,19 @@ def _diff_csv(name, expected, got):
     msgs = []
     exp_lines = expected.splitlines()
     got_lines = got.splitlines()
+    if not exp_lines:
+        return [f"{name}: empty"]
     if exp_lines[0] != got_lines[0]:
         return [f"{name}: header {exp_lines[0]!r} != {got_lines[0]!r}"]
     keys, cols = _key_columns(exp_lines[0])
+    # the shipped file is outside input: a row of the wrong width is a mismatch
+    for num, line in enumerate(exp_lines[1:], start=2):
+        width = len(line.split(","))
+        if width != len(cols):
+            msgs.append(f"{name}: line {num}: expected {len(cols)} fields, "
+                        f"got {width}")
+    if msgs:
+        return msgs
 
     def table(lines):
         rows = {}

@@ -24,16 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .forms import _merge, _sign, add_into, add_term, all_subsets, grade, super_bracket
+from .forms import _merge, _sign, add_into, add_term, super_bracket
 from .homology import complex_homology
-from .superchain import Level, TokenSystem, forms_system  # forms_system: re-export
-
-
-def extended_grade(token):
-    tag, payload = token
-    if tag == "v":
-        return 0
-    return grade(payload)
+from .superchain import Level, TokenSystem, form_levels, forms_system  # forms_system: re-export
 
 
 def lie_derivative(i, f, spec):
@@ -73,34 +66,28 @@ def extended_bracket(x, y, spec):
                                       {py: Fraction(1)}, spec).items()}
 
 
-def extended_system(spec, include_vectors=True):
-    levels = []
-    if include_vectors:
-        levels.append(Level(0, 0, tuple(("v", i) for i in range(1, spec.n + 1))))
-    by_grade = {}
-    for subset in all_subsets(spec.n):
-        by_grade.setdefault(grade(subset), []).append(("f", subset))
-    for g in sorted(by_grade, reverse=True):
-        levels.append(Level(g, g, tuple(sorted(by_grade[g]))))
-    return TokenSystem(levels, lambda a, b: extended_bracket(a, b, spec))
+def extended_system(spec):
+    """The vector fields ("v", i) at grade 0 above the forms ("f", subset).
+
+    levels[0] holds the vectors; the rest are the form levels, tagged.
+    """
+    vectors = Level(0, (0,), tuple(("v", i) for i in range(1, spec.n + 1)))
+    tagged = [Level(lv.grade, lv.weight, tuple(("f", s) for s in lv.tokens))
+              for lv in form_levels(spec.n)]
+    return TokenSystem([vectors] + tagged,
+                       lambda a, b: extended_bracket(a, b, spec))
 
 
-def extended_complex(spec, cap=None, include_vectors=True):
-    return extended_system(spec, include_vectors=include_vectors).complex(cap)
+def extended_complex(spec, cap=None):
+    return extended_system(spec).complex(cap)
 
 
-def extended_chain_dim(spec, m, w, cap=None):
-    return extended_complex(spec, cap=cap).dim(m, w)
-
-
-def extended_betti(spec, w, cap=None, name=None, include_vectors=True):
+def extended_betti(spec, w, cap=None):
     """Homology report of the extended complex, degrees m = 1 .. -w + n."""
     if w >= 0:
         raise ValueError("weight must be negative")
-    cx = extended_complex(spec, cap=cap, include_vectors=include_vectors)
-    m_top = -w + (spec.n if include_vectors else 0)
-    label = name or (spec.name or "?") + "+T"
-    return complex_homology(cx, w, m_top, label)
+    return complex_homology(extended_complex(spec, cap=cap), w, -w + spec.n,
+                            (spec.name or "?") + "+T")
 
 
 def k_split_dims(spec, w, cap=None):
@@ -139,12 +126,9 @@ class JacobiReport:
                 f"(residual {self.residual}), {self.checked} triples checked")
 
 
-def check_system_jacobi(system, bracket=None):
-    """Exhaustive super Jacobi over all basis-token triples of a system.
-
-    bracket overrides the system's own (for negative controls).
-    """
-    br = bracket or system.bracket
+def check_system_jacobi(system):
+    """Exhaustive super Jacobi over all basis-token triples of a system."""
+    br = system.bracket
     toks = system.tokens
     checked = 0
     for x in toks:
@@ -166,9 +150,9 @@ def check_system_jacobi(system, bracket=None):
     return JacobiReport(True, checked)
 
 
-def check_extended_jacobi(spec, bracket=None):
+def check_extended_jacobi(spec):
     """Super Jacobi of the one-step extension, exhaustive on basis triples."""
-    return check_system_jacobi(extended_system(spec), bracket=bracket)
+    return check_system_jacobi(extended_system(spec))
 
 
 # --- trivially long composites -----------------------------------------------------

@@ -145,13 +145,3 @@ def interior(i: int, f: Form) -> Form:
                 add_term(out, key[:t] + key[t + 1:], v * _sign(t))
                 break  # indices are distinct; xi_i matches at most once
     return out
-
-
-def bracket_table(spec) -> dict:
-    """[[sigma^A, sigma^B]] for every pair of basis subsets (zero forms kept)."""
-    subsets = list(all_subsets(spec.n))
-    return {
-        (a, b): super_bracket({a: Fraction(1)}, {b: Fraction(1)}, spec)
-        for a in subsets
-        for b in subsets
-    }

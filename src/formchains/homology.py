@@ -150,7 +150,7 @@ def predicted_rank(family, m, w):
     family is one of the classify_3d labels except "abelian" (whose ranks
     are all zero anyway).  The d3 expressions are known to overcount once
     several monomial families overlap (first at w = -10, m = 4); see
-    rank_comparison for a side-by-side with the computed ranks.
+    rank_formula_check for a side-by-side with the computed ranks.
     """
     s = -w - m
     if s < 0:
@@ -218,16 +218,6 @@ def predicted_rank(family, m, w):
     raise ValueError(f"unknown family {family!r}")
 
 
-def rank_comparison(spec, w, cap=None):
-    """[(m, computed rank, predicted rank), ...] for a 3-dim algebra."""
-    family = classify_3d(spec)
-    rep = betti_row(spec, w, cap=cap)
-    if family == "abelian":
-        return [(m, r, 0) for m, r in enumerate(rep.ranks, start=1)]
-    return [(m, rep.ranks[m - 1], predicted_rank(family, m, w))
-            for m in range(1, -w + 1)]
-
-
 @dataclass(frozen=True)
 class RankFormulaReport:
     algebra: str
@@ -259,11 +249,15 @@ def rank_formula_check(spec, w, cap=None, name=None):
     Purely diagnostic: the computed ranks are authoritative and the d3
     closed forms are known to overcount on overlapping families.
     """
+    family = classify_3d(spec)
+    ranks = betti_row(spec, w, cap=cap).ranks
     return RankFormulaReport(
         algebra=name or spec.name or "?",
-        family=classify_3d(spec),
+        family=family,
         weight=w,
-        rows=tuple(rank_comparison(spec, w, cap=cap)),
+        rows=tuple((m, r, 0 if family == "abelian"
+                    else predicted_rank(family, m, w))
+                   for m, r in enumerate(ranks, start=1)),
     )
 
 

@@ -252,19 +252,16 @@ def support_top(w: int, h: int, n: int, include_vectors=False) -> int:
     return max(forms_top + (h + forms_top + n) + n + n * n, 0)
 
 
-def double_weight_betti(w: int, h: int, n: int, m_top=None,
-                        include_vectors=False, cap=None, name=None):
+def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None):
     """Homology report of C_*^{w,h}; degrees trimmed to the support."""
     if include_vectors:
         if w > 0:
             raise ValueError("primary weight must be nonpositive")
     elif w >= 0:
         raise ValueError("primary weight must be negative")
-    trim = m_top is None
-    if trim:
-        m_top = support_top(w, h, n, include_vectors)
+    m_top = support_top(w, h, n, include_vectors)
     cx = double_weight_complex(n, h, m_top + 1, include_vectors, cap=cap)
-    while trim and m_top > 0 and cx.dim(m_top, (w, h)) == 0:
+    while m_top > 0 and cx.dim(m_top, (w, h)) == 0:
         m_top -= 1
-    label = name or f"poly{n}" + ("+T" if include_vectors else "")
+    label = f"poly{n}" + ("+T" if include_vectors else "")
     return complex_homology(cx, (w, h), m_top, label)

@@ -202,6 +202,34 @@ def test_jobs_do_not_change_bytes(capsys):
     assert capsys.readouterr().out == serial
 
 
+def test_jobs_never_exceed_tasks(monkeypatch, capsys):
+    # a stand-in pool that records its size and maps in-process: no
+    # worker is ever started, whatever --jobs asks for
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    argv = ["betti", "--algebra", "so3", "--w-range", "1:3", "--format", "csv"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert sizes == []
+    assert main(argv + ["--jobs", "64"]) == 0
+    assert sizes == [3]
+    assert capsys.readouterr().out == serial
+
+
 # --- caps ---------------------------------------------------------------------------
 
 def test_cap_flag_exceeded(capsys):
@@ -216,6 +244,20 @@ def test_cap_env_override(monkeypatch, capsys):
     # an explicit flag beats the environment
     assert main(["betti", "--algebra", "so3", "--w", "10",
                  "--cap", "100000"]) == 0
+
+
+@pytest.mark.parametrize("flag, env, named", [
+    (["--cap", "-1"], None, "--cap must be an integer >= 0, got '-1'"),
+    ([], "many", "FORMCHAINS_CAP must be an integer >= 0, got 'many'"),
+    ([], "-5", "FORMCHAINS_CAP must be an integer >= 0, got '-5'"),
+])
+def test_bad_cap_rejected_up_front(flag, env, named, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("FORMCHAINS_CAP", env)
+    assert main(["betti", "--algebra", "so3", "--w", "3"] + flag) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "enumeration cap exceeded" not in err
 
 
 # --- goldens ---------------------------------------------------------------------------
@@ -243,6 +285,36 @@ def test_goldens_detect_perturbation(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "weighted_tables.csv: MISMATCH" in out
     assert "algebra=d3, weight=-10, m=4: betti expected 17, got 16" in out
+
+
+@pytest.fixture
+def golden_copy(tmp_path, monkeypatch):
+    """A scratch copy of the shipped tables that `goldens` reads instead."""
+    import shutil
+
+    fake = tmp_path / "goldens"
+    shutil.copytree(cli.GOLDEN_DIR, fake)
+    monkeypatch.setattr(cli, "GOLDEN_DIR", str(fake))
+    return fake
+
+
+def test_goldens_row_of_wrong_width_is_a_mismatch(golden_copy, capsys):
+    victim = golden_copy / "dim2_betti.csv"
+    lines = victim.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].rstrip("\n") + ",9\n"
+    victim.write_text("".join(lines))
+    assert main(["goldens"]) == 1
+    out = capsys.readouterr().out
+    assert "dim2_betti.csv: MISMATCH" in out
+    assert "dim2_betti.csv: line 3: expected 7 fields, got 8" in out
+
+
+def test_goldens_empty_file_is_a_mismatch(golden_copy, capsys):
+    (golden_copy / "dim2_betti.csv").write_text("")
+    assert main(["goldens"]) == 1
+    out = capsys.readouterr().out
+    assert "dim2_betti.csv: MISMATCH" in out
+    assert "dim2_betti.csv: empty" in out
 
 
 def test_goldens_missing_file(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,6 @@ from formchains import forms
 from formchains.forms import (
     all_subsets,
     basis_form,
-    bracket_table,
     ext_d,
     grade,
     interior,
@@ -17,6 +16,7 @@ from formchains.forms import (
     wedge,
 )
 from formchains.liealg import catalog
+from formchains.superchain import forms_system
 
 # shorthand used throughout the weighted tables for n = 3:
 # w^{i+2} = sigma^i ^ sigma^{i+1} (indices mod 3), V = sigma^1^2^3
@@ -143,17 +143,23 @@ def test_d1n_bracket_values():
     assert super_bracket(one(), {W1: Fraction(1)}, g) == {V: -2}
 
 
-def test_d1y_bracket_table_support():
+def brackets(spec):
+    """[[sigma^A, sigma^B]] for every pair of basis subsets (zero forms kept)."""
+    sys = forms_system(spec)
+    return {(a, b): sys.bracket(a, b) for a in sys.tokens for b in sys.tokens}
+
+
+def test_d1y_bracket_support():
     g = catalog("d1y")
-    table = bracket_table(g)
+    table = brackets(g)
     nonzero = {(a, b) for (a, b), f in table.items() if f}
     assert nonzero == {((), (3,)), ((3,), ())}
     assert table[((), (3,))] == {(1, 2): -2}
     assert table[((3,), ())] == {(1, 2): 2}
 
 
-def test_abelian_bracket_table_is_zero():
-    table = bracket_table(catalog("abelian(3)"))
+def test_abelian_brackets_are_zero():
+    table = brackets(catalog("abelian(3)"))
     assert all(f == {} for f in table.values())
 
 

@@ -19,7 +19,6 @@ from formchains.homology import (
     homology_json,
     homology_text,
     predicted_rank,
-    rank_comparison,
     rank_formula_check,
 )
 from formchains.liealg import LieAlgebraSpec, catalog
@@ -236,7 +235,7 @@ def test_predicted_ranks_match_computed_away_from_d3_overlap():
     # the four non-d3 families: closed forms agree with computed ranks
     for family in ("d2y", "d2n", "d1y", "d1n"):
         for w in (-3, -5, -10):
-            for m, got, want in rank_comparison(catalog(REP[family]), w):
+            for m, got, want in rank_formula_check(catalog(REP[family]), w).rows:
                 assert got == want, (family, w, m)
 
 
@@ -244,14 +243,14 @@ def test_predicted_rank_d3_overcounts_on_overlap():
     # the d3 binomial expressions ignore overlaps between monomial families:
     # first failure at w = -10, m = 4 (predicted 9, true rank 6)
     cmp = dict((m, (got, want))
-               for m, got, want in rank_comparison(catalog("so3"), -10))
+               for m, got, want in rank_formula_check(catalog("so3"), -10).rows)
     assert cmp[4] == (6, 9)
     assert cmp[5] == (16, 24)
     assert cmp[6] == (11, 12)
     assert cmp[7] == (7, 10)
     # away from overlaps they agree
     for w in (-3, -5):
-        for m, got, want in rank_comparison(catalog("so3"), w):
+        for m, got, want in rank_formula_check(catalog("so3"), w).rows:
             assert got == want, (w, m)
 
 
@@ -260,9 +259,9 @@ def test_predicted_rank_rejects_unknown_family():
         predicted_rank("d4", 1, -3)
 
 
-def test_rank_comparison_abelian():
-    assert rank_comparison(catalog("abelian(3)"), -3) == [
-        (1, 0, 0), (2, 0, 0), (3, 0, 0)]
+def test_rank_formula_rows_abelian():
+    assert rank_formula_check(catalog("abelian(3)"), -3).rows == (
+        (1, 0, 0), (2, 0, 0), (3, 0, 0))
 
 
 def test_rank_formula_check_reports():

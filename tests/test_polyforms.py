@@ -12,7 +12,12 @@ from fractions import Fraction
 import pytest
 
 from formchains.forms import add_into
-from formchains.homology import homology_csv, homology_json, homology_text
+from formchains.homology import (
+    complex_homology,
+    homology_csv,
+    homology_json,
+    homology_text,
+)
 from formchains.polyforms import (
     double_weight,
     double_weight_basis,
@@ -414,14 +419,14 @@ def test_weight_validation():
 
 
 def test_explicit_m_top_is_honored():
-    rep = double_weight_betti(-2, 0, 1, m_top=8)
+    rep = complex_homology(double_weight_complex(1, 0, 9), (-2, 0), 8, "poly1")
     assert len(rep.dims) == 8
     assert rep.dims == (1, 2, 0, 0, 0, 0, 0, 0)
 
 
 def test_m_top_cutting_the_support_is_rejected():
     with pytest.raises(ValueError):
-        double_weight_betti(-2, 0, 1, m_top=1)
+        complex_homology(double_weight_complex(1, 0, 2), (-2, 0), 1, "poly1")
 
 
 def test_constant_sector_matches_invariant_forms_on_abelian():

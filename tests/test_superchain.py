@@ -19,6 +19,7 @@ from formchains.superchain import (
     form_levels,
     format_monomial,
     forms_complex,
+    forms_system,
     monomial_weight,
     normalize,
 )
@@ -152,23 +153,18 @@ def test_custom_level_enumeration_double_weight():
 
 # --- boundary ------------------------------------------------------------------
 
-def bracket_fn(spec):
-    table = forms.bracket_table(spec)
-    return lambda a, b: table[(a, b)]
-
-
 def test_boundary_of_pair_is_bracket():
     g = catalog("so3")
-    br = bracket_fn(g)
+    br = forms_system(g).bracket
     assert boundary_of_monomial((E, Z1), gr, br) == {(W1,): -2}
     assert boundary_of_monomial((Z1, E), gr, br) == {(W1,): 2}
     d1n = catalog("d1n")
-    brn = bracket_fn(d1n)
+    brn = forms_system(d1n).bracket
     assert boundary_of_monomial((Z2, Z3), gr, brn) == {(V3,): 2}
 
 
 def test_boundary_of_single_and_empty():
-    br = bracket_fn(catalog("so3"))
+    br = forms_system(catalog("so3")).bracket
     assert boundary_of_monomial((Z1,), gr, br) == {}
     assert boundary_of_monomial((), gr, br) == {}
 
@@ -177,7 +173,7 @@ def test_boundary_triple_identity():
     # bd(A^B^C) = -A^[[B,C]] + [[A,B]]^C + (-1)^{ab} B^[[A,C]]
     for name in ("so3", "d2(-1)", "d1n", "dim2"):
         g = catalog(name)
-        br = bracket_fn(g)
+        br = forms_system(g).bracket
         toks = list(forms.all_subsets(g.n))
         for A in toks:
             for B in toks:
@@ -213,7 +209,7 @@ def test_boundary_well_defined_under_reordering():
     rng = random.Random(4)
     for name in ("so3", "d2(-1)", "d1n"):
         g = catalog(name)
-        br = bracket_fn(g)
+        br = forms_system(g).bracket
         cx = forms_complex(g)
         for w in range(-6, -2):
             for m in (2, 3, 4):
@@ -235,7 +231,7 @@ def test_boundary_of_dead_monomial_vanishes():
     # double-sum boundary cancels to zero on its own
     for name in ("so3", "dim2", "d1y"):
         g = catalog(name)
-        br = bracket_fn(g)
+        br = forms_system(g).bracket
         z = (1,)
         assert boundary_of_monomial((z, z), gr, br) == {}
         assert boundary_of_monomial((z, (), z), gr, br) == {}
@@ -243,7 +239,7 @@ def test_boundary_of_dead_monomial_vanishes():
 
 def test_dim2_boundary_images_closed_form():
     g = catalog("dim2")
-    br = bracket_fn(g)
+    br = forms_system(g).bracket
     for a in (1, 2, 3):
         for c in (0, 1, 2):
             # bd(1^a ^ z1 ^ z2 ^ V^c) = 2a(-1)^(a-1) 1^(a-1) ^ z2 ^ V^(c+1)
