@@ -2,7 +2,7 @@
 
 The invariant vector fields X_1 .. X_n sit in grade 0 and act on forms by
 the Lie derivative; among themselves they bracket through the structure
-constants.  The enlarged token system still satisfies the super Jacobi
+constants.  The enlarged set of tokens still satisfies the super Jacobi
 identity (checked exhaustively below), and its weighted complexes have a
 striking feature: every Euler characteristic vanishes.  The reason is a
 perfect pairing -- wedging with or removing a fixed grade-0 vector token

@@ -65,13 +65,11 @@ from .polyforms import (
 from .superchain import (
     EnumerationCapExceeded,
     Level,
-    TokenSystem,
     WeightedComplex,
     chain_dim,
     chain_dim_formula_n3,
     enumerate_monomials,
     forms_complex,
-    forms_system,
     format_monomial,
 )
 
@@ -85,7 +83,6 @@ __all__ = [
     "Level",
     "LieAlgebraSpec",
     "SparseRationalMatrix",
-    "TokenSystem",
     "WeightedComplex",
     "basis_form",
     "betti_pattern_dim2",
@@ -108,7 +105,6 @@ __all__ = [
     "extended_complex",
     "format_monomial",
     "forms_complex",
-    "forms_system",
     "homology_csv",
     "homology_json",
     "homology_text",

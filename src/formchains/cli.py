@@ -7,7 +7,8 @@ goldens (recompute every shipped reference table and diff).
 
 Exit codes: 0 success, 1 mathematical mismatch (failed validation or a
 golden-table diff), 2 configuration or I/O error (unknown algebra,
-malformed file, exceeded enumeration cap, unwritable output).
+malformed file, exceeded enumeration cap, unwritable output, structure
+constants that break Jacobi given to betti or extended).
 
 Weights may be given by magnitude: --w 3 and --w-range 1:6 mean w = -3 and
 w = -1 .. -6.  Output is deterministic for a fixed configuration, whatever
@@ -32,7 +33,7 @@ from .homology import (
 )
 from .liealg import catalog, load_structure_constants, validate
 from .polyforms import double_weight_betti
-from .superchain import EnumerationCapExceeded, chain_dim, forms_system
+from .superchain import EnumerationCapExceeded, chain_dim, forms_complex
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -55,6 +56,15 @@ def resolve_algebra(selector: str, kappa=None):
         if os.path.exists(selector):
             return load_structure_constants(selector)
         raise
+
+
+def resolve_lie_algebra(args):
+    """resolve_algebra, refusing structure constants that break Jacobi."""
+    spec = resolve_algebra(args.algebra, args.kappa)
+    report = validate(spec)
+    if not report.ok:
+        raise ValueError(f"{spec.name or args.algebra}: {report.summary()}")
+    return spec
 
 
 def _normalize_weight(w: int) -> int:
@@ -140,13 +150,13 @@ def cmd_validate(args) -> int:
     spec = resolve_algebra(args.algebra, args.kappa)
     lie = validate(spec)
     print(f"{spec.name or args.algebra}: {lie.summary()}")
-    forms = check_system_jacobi(forms_system(spec))
+    forms = check_system_jacobi(forms_complex(spec))
     print(f"{spec.name or args.algebra} forms: {forms.summary()}")
     return EXIT_OK if lie.ok and forms.ok else EXIT_MATH
 
 
 def cmd_betti(args) -> int:
-    spec = resolve_algebra(args.algebra, args.kappa)
+    spec = resolve_lie_algebra(args)
     cap = resolve_cap(args)
     ws = gather_weights(args, floor=0)
     tasks = [("betti", spec, w, cap) for w in ws]
@@ -154,7 +164,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_extended(args) -> int:
-    spec = resolve_algebra(args.algebra, args.kappa)
+    spec = resolve_lie_algebra(args)
     cap = resolve_cap(args)
     ws = gather_weights(args, floor=0)
     tasks = [("extended", spec, w, cap) for w in ws]
@@ -274,12 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=True):
-        if algebra:
-            p.add_argument("--algebra", required=True,
-                           help="catalog name or structure-constants file")
-            p.add_argument("--kappa", default=None,
-                           help="parameter for the d2 family")
+    def algebra(p):
+        p.add_argument("--algebra", required=True,
+                       help="catalog name or structure-constants file")
+        p.add_argument("--kappa", default=None,
+                       help="parameter for the d2 family")
+
+    def cap(p):
+        # validate enumerates nothing, so it takes no cap
         p.add_argument("--cap", type=int, default=None,
                        help="basis enumeration cap (env FORMCHAINS_CAP)")
 
@@ -295,23 +307,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallel workers over weights")
 
     p = sub.add_parser("validate", help="Jacobi checks for one algebra")
-    common(p)
+    algebra(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("betti", help="weighted form-complex homology")
-    common(p)
+    algebra(p)
+    cap(p)
     tabular(p)
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("extended",
                        help="forms extended by invariant vector fields")
-    common(p)
+    algebra(p)
+    cap(p)
     tabular(p)
     p.set_defaults(func=cmd_extended)
 
     p = sub.add_parser("polyweight",
                        help="doubly weighted polynomial complexes on R^n")
-    common(p, algebra=False)
+    cap(p)
     tabular(p)
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--h", type=int, required=True, help="secondary weight")
@@ -320,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_polyweight)
 
     p = sub.add_parser("goldens", help="recompute and diff shipped tables")
-    common(p, algebra=False)
+    cap(p)
     p.set_defaults(func=cmd_goldens)
 
     return parser

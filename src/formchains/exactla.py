@@ -47,12 +47,6 @@ class SparseRationalMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def rank(self) -> int:
-        return rank(self)
-
-    def kernel_dim(self) -> int:
-        return kernel_dim(self)
-
     def transpose(self) -> "SparseRationalMatrix":
         out = SparseRationalMatrix(self.ncols, self.nrows)
         out.entries = {(c, r): v for (r, c), v in self.entries.items()}

@@ -13,9 +13,9 @@ and the Leibniz rule.  Chain spaces pick up wedge factors of vectors, which
 add degree but no weight, so the extended C_m^w decomposes by the number k
 of vector factors and dies above m = -w + n.
 
-Also here: the "trivially long" glueing of a negative-graded token system
-with a non-negative one (zero cross bracket), which is how multivectors sit
-next to forms without any interaction.
+Also here: the "trivially long" glueing of a negative-graded complex with a
+non-negative one (zero cross bracket), which is how multivectors sit next to
+forms without any interaction.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .forms import _merge, _sign, add_into, add_term, super_bracket
 from .homology import complex_homology
-from .superchain import Level, TokenSystem, form_levels, forms_system  # forms_system: re-export
+from .superchain import Level, WeightedComplex, form_levels
 
 
 def lie_derivative(i, f, spec):
@@ -66,7 +66,7 @@ def extended_bracket(x, y, spec):
                                       {py: Fraction(1)}, spec).items()}
 
 
-def extended_system(spec):
+def extended_complex(spec, cap=None):
     """The vector fields ("v", i) at grade 0 above the forms ("f", subset).
 
     levels[0] holds the vectors; the rest are the form levels, tagged.
@@ -74,12 +74,8 @@ def extended_system(spec):
     vectors = Level(0, (0,), tuple(("v", i) for i in range(1, spec.n + 1)))
     tagged = [Level(lv.grade, lv.weight, tuple(("f", s) for s in lv.tokens))
               for lv in form_levels(spec.n)]
-    return TokenSystem([vectors] + tagged,
-                       lambda a, b: extended_bracket(a, b, spec))
-
-
-def extended_complex(spec, cap=None):
-    return extended_system(spec).complex(cap)
+    return WeightedComplex([vectors] + tagged,
+                           lambda a, b: extended_bracket(a, b, spec), cap)
 
 
 def extended_betti(spec, w, cap=None):
@@ -102,7 +98,7 @@ def k_split_dims(spec, w, cap=None):
     return out
 
 
-# --- super Jacobi over a token system ---------------------------------------------
+# --- super Jacobi over a complex's tokens -----------------------------------------
 
 def _bilinear(table_bracket, fx, fy):
     out = {}
@@ -126,17 +122,17 @@ class JacobiReport:
                 f"(residual {self.residual}), {self.checked} triples checked")
 
 
-def check_system_jacobi(system):
-    """Exhaustive super Jacobi over all basis-token triples of a system."""
-    br = system.bracket
-    toks = system.tokens
+def check_system_jacobi(cx):
+    """Exhaustive super Jacobi over all basis-token triples of a complex."""
+    br = cx.bracket
+    toks = cx.tokens
     checked = 0
     for x in toks:
-        gx = system.grade_of(x)
+        gx = cx.grade_of(x)
         for y in toks:
-            gy = system.grade_of(y)
+            gy = cx.grade_of(y)
             for z in toks:
-                gz = system.grade_of(z)
+                gz = cx.grade_of(z)
                 checked += 1
                 res = {}
                 for sign, fa, b in (
@@ -152,7 +148,7 @@ def check_system_jacobi(system):
 
 def check_extended_jacobi(spec):
     """Super Jacobi of the one-step extension, exhaustive on basis triples."""
-    return check_system_jacobi(extended_system(spec))
+    return check_system_jacobi(extended_complex(spec))
 
 
 # --- trivially long composites -----------------------------------------------------
@@ -161,27 +157,27 @@ def multivector_system(n):
     """Wedge powers of vector fields, grade of a j-vector is j - 1, j >= 1.
 
     The bracket is identically zero: a stand-in occupying the non-negative
-    grades, to be glued below a form system.
+    grades, to be glued below a form complex.
     """
     levels = [Level(j - 1, j - 1,
                     tuple(("mv", c) for c in combinations(range(1, n + 1), j)))
               for j in range(1, n + 1)]
-    return TokenSystem(levels, lambda a, b: {})
+    return WeightedComplex(levels, lambda a, b: {})
 
 
 def trivially_long(neg, pos):
-    """Glue a negative-graded system under a non-negative one, zero cross bracket.
+    """Glue a negative-graded complex under a non-negative one, zero cross bracket.
 
     Both inputs keep their own brackets; any pair straddling the two sides
-    brackets to zero.  Raises if the systems' grades overlap the wrong half
+    brackets to zero.  Raises if the complexes' grades overlap the wrong half
     or share a token name.
     """
     if any(g >= 0 for g in neg.grades.values()):
-        raise ValueError("negative-side system occupies grade >= 0")
+        raise ValueError("negative-side complex occupies grade >= 0")
     if any(g < 0 for g in pos.grades.values()):
-        raise ValueError("non-negative-side system occupies grade < 0")
+        raise ValueError("non-negative-side complex occupies grade < 0")
     if set(neg.grades) & set(pos.grades):
-        raise ValueError("token names collide between the two systems")
+        raise ValueError("token names collide between the two complexes")
 
     def bracket(a, b):
         for side in (neg, pos):
@@ -190,4 +186,4 @@ def trivially_long(neg, pos):
         return {}
 
     levels = sorted(neg.levels + pos.levels, key=lambda lv: -lv.grade)
-    return TokenSystem(levels, bracket)
+    return WeightedComplex(levels, bracket)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import SparseRationalMatrix
+from . import exactla
 from .liealg import LieAlgebraSpec, catalog
 from .superchain import _ind, _nb, forms_complex
 
@@ -53,7 +53,7 @@ def complex_homology(cx, w, m_top, name):
     if cx.dim(m_top + 1, w):
         raise ValueError(f"complex does not vanish above m = {m_top}")
     dims = [cx.dim(m, w) for m in range(1, m_top + 1)]
-    ranks = [cx.boundary_matrix(m, w).rank() for m in range(1, m_top + 1)]
+    ranks = [exactla.rank(cx.boundary_matrix(m, w)) for m in range(1, m_top + 1)]
     kernels = [d - r for d, r in zip(dims, ranks)]
     # rank of bd_{m_top+1} is 0: C_{m_top+1}^w is empty
     betti = [kernels[i] - (ranks[i + 1] if i + 1 < m_top else 0)
@@ -95,7 +95,7 @@ def _derived_span(spec):
     # one row per bracket pair, columns = coefficients in the xi basis
     pairs = [(i, j) for i in range(1, spec.n + 1)
              for j in range(i + 1, spec.n + 1)]
-    mat = SparseRationalMatrix(len(pairs), spec.n)
+    mat = exactla.SparseRationalMatrix(len(pairs), spec.n)
     for r, (i, j) in enumerate(pairs):
         for k, v in spec.bracket(i, j).items():
             mat.add(r, k - 1, v)
@@ -131,7 +131,7 @@ def classify_3d(spec):
     if spec.n != 3:
         raise ValueError("classification implemented for n = 3 only")
     pairs, mat = _derived_span(spec)
-    dd = mat.rank()
+    dd = exactla.rank(mat)
     if dd == 3:
         return "d3"
     if dd == 2:

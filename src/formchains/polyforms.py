@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .forms import _merge, _sign, add_into, add_term
 from .homology import complex_homology
-from .superchain import Level, TokenSystem, WeightedComplex, enumerate_monomials
+from .superchain import Level, WeightedComplex, enumerate_monomials
 
 PolyForm = dict    # {(exponent tuple, index subset): Fraction}
 PolyVector = dict  # {(exponent tuple, direction index): Fraction}
@@ -228,8 +228,8 @@ def double_weight_complex(n: int, h: int, m_top: int,
                           include_vectors=False, cap=None) -> WeightedComplex:
     """The chain complex over all doubly homogeneous generators."""
     levels = poly_levels(n, m_top, h, include_vectors)
-    return TokenSystem(levels, lambda ta, tb: poly_bracket(
-        {ta: Fraction(1)}, {tb: Fraction(1)})).complex(cap)
+    return WeightedComplex(levels, lambda ta, tb: poly_bracket(
+        {ta: Fraction(1)}, {tb: Fraction(1)}), cap)
 
 
 def double_weight_basis(m: int, w: int, h: int, n: int,

@@ -146,7 +146,7 @@ def enumerate_monomials(levels, m, weight, cap=None):
             hi[idx][dcoord] = max(wv[dcoord], hi[idx + 1][dcoord]) if idx < nlev - 1 else wv[dcoord]
 
     out = []
-    grademap = _monogr(levels)
+    grades = _grades(levels)
 
     def emit(chosen):
         if cap is not None and len(out) >= cap:
@@ -154,7 +154,7 @@ def enumerate_monomials(levels, m, weight, cap=None):
                 f"more than {cap} monomials at degree {m}, weight {weight}"
             )
         # the basis element is the multiset's canonical (sorted) product
-        out.append(tuple(sorted(chosen, key=lambda t: (-grademap(t), t))))
+        out.append(tuple(sorted(chosen, key=lambda t: (-grades[t], t))))
 
     def feasible(idx, k_rem, w_rem):
         if idx == nlev:
@@ -186,12 +186,8 @@ def enumerate_monomials(levels, m, weight, cap=None):
     return out
 
 
-def _monogr(levels):
-    table = {}
-    for lv in levels:
-        for t in lv.tokens:
-            table[t] = lv.grade
-    return table.__getitem__
+def _grades(levels):
+    return {t: lv.grade for lv in levels for t in lv.tokens}
 
 
 def monomial_weight(mono, weight_of):
@@ -206,14 +202,31 @@ def monomial_weight(mono, weight_of):
 
 
 class WeightedComplex:
-    """Bases and boundary matrices of the weighted chain spaces C_m^w."""
+    """Graded tokens, one Level per occupied slot, their bracket, and the
+    bases and boundary matrices of the weighted chain spaces C_m^w.
 
-    def __init__(self, levels, grade_of, bracket, cap=None):
-        self.levels = list(levels)
-        self.grade_of = grade_of
-        self.bracket = bracket
+    bracket(a, b) returns {token: coefficient}; each pair is computed at most
+    once, on first use, and the result is shared, so callers must not mutate it.
+    """
+
+    def __init__(self, levels, bracket, cap=None):
+        self.levels = tuple(levels)
+        self.grades = _grades(self.levels)
+        self.grade_of = self.grades.__getitem__
         self.cap = cap
+        self._compute = bracket
+        self._memo: dict = {}
         self._basis_cache: dict = {}
+
+    def bracket(self, a, b):
+        out = self._memo.get((a, b))
+        if out is None:
+            out = self._memo[(a, b)] = self._compute(a, b)
+        return out
+
+    @property
+    def tokens(self):
+        return tuple(sorted(self.grades, key=lambda t: (-self.grades[t], t)))
 
     def basis(self, m, w):
         key = (m, _as_tuple(w))
@@ -245,34 +258,6 @@ class WeightedComplex:
         return self.boundary_matrix(m, w, image=boundary_via_left_action)
 
 
-class TokenSystem:
-    """Graded tokens, one Level per occupied slot, and their bracket.
-
-    bracket(a, b) returns {token: coefficient}; each pair is computed at most
-    once, on first use, and the result is shared, so callers must not mutate it.
-    """
-
-    def __init__(self, levels, bracket):
-        self.levels = tuple(levels)
-        self.grades = {t: lv.grade for lv in self.levels for t in lv.tokens}
-        self.grade_of = self.grades.__getitem__
-        self._compute = bracket
-        self._memo: dict = {}
-
-    def bracket(self, a, b):
-        out = self._memo.get((a, b))
-        if out is None:
-            out = self._memo[(a, b)] = self._compute(a, b)
-        return out
-
-    @property
-    def tokens(self):
-        return tuple(sorted(self.grades, key=lambda t: (-self.grades[t], t)))
-
-    def complex(self, cap=None) -> WeightedComplex:
-        return WeightedComplex(self.levels, self.grade_of, self.bracket, cap=cap)
-
-
 # --- the invariant-forms complex ---------------------------------------------
 
 def form_levels(n: int):
@@ -283,15 +268,10 @@ def form_levels(n: int):
     ]
 
 
-def forms_system(spec) -> TokenSystem:
-    """The invariant-forms superalgebra: basis subsets as tokens."""
-    return TokenSystem(form_levels(spec.n), lambda a, b: forms.super_bracket(
-        {a: Fraction(1)}, {b: Fraction(1)}, spec))
-
-
 def forms_complex(spec, cap=None) -> WeightedComplex:
-    """The weighted chain complex of the invariant-forms superalgebra."""
-    return forms_system(spec).complex(cap)
+    """The invariant-forms chain complex: basis subsets as tokens."""
+    return WeightedComplex(form_levels(spec.n), lambda a, b: forms.super_bracket(
+        {a: Fraction(1)}, {b: Fraction(1)}, spec), cap)
 
 
 def chain_dim(spec_or_n, m: int, w: int) -> int:

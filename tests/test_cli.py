@@ -42,6 +42,24 @@ def test_validate_jacobi_violation_exits_one(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["betti", "extended"])
+def test_non_lie_algebra_rejected_before_homology(command, tmp_path, capsys):
+    # the same structure constants as above: with Jacobi broken dd != 0
+    path = tmp_path / "bad.txt"
+    path.write_text("1 2 3 1\n1 3 1 1\n")
+    assert main([command, "--algebra", str(path), "--w", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert "jacobi FAILED" in err
+    assert out == ""
+
+
+def test_validate_takes_no_cap(capsys):
+    # validate enumerates nothing: a cap there would be read by nobody
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--algebra", "so3", "--cap", "5"])
+    assert exc.value.code == 2
+
+
 def test_validate_malformed_file(tmp_path, capsys):
     path = tmp_path / "mangled.txt"
     path.write_text("1 2 spam 1\n")

@@ -1,6 +1,8 @@
-"""Smoke tests for the entry points: every demo runs, every exported name resolves."""
+"""Smoke tests for the entry points: every demo and README example runs,
+every exported name resolves."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,8 @@ import formchains
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_CODE = re.findall(r"^```python\n(.*?)^```$",
+                         (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_demos_are_found():
@@ -24,6 +28,13 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_examples_run(monkeypatch):
+    assert README_CODE
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    for block in README_CODE:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_all_names_resolve():

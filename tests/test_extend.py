@@ -5,14 +5,11 @@ import pytest
 from formchains import forms
 from formchains.extend import (
     JacobiReport,
-    TokenSystem,
     check_extended_jacobi,
     check_system_jacobi,
     extended_betti,
     extended_bracket,
     extended_complex,
-    extended_system,
-    forms_system,
     k_split_dims,
     lie_derivative,
     multivector_system,
@@ -20,7 +17,7 @@ from formchains.extend import (
 )
 from formchains.homology import betti_row, complex_homology
 from formchains.liealg import catalog
-from formchains.superchain import Level, chain_dim
+from formchains.superchain import Level, WeightedComplex, chain_dim, forms_complex
 
 CATALOG = ["so3", "sl2r", "d2(1)", "d2(-1)", "d1n", "d1y",
            "abelian(3)", "dim2", "abelian(2)"]
@@ -89,7 +86,7 @@ def test_extended_bracket_cases():
 
 
 def test_extended_token_grades():
-    grade_of = extended_system(catalog("so3")).grade_of
+    grade_of = extended_complex(catalog("so3")).grade_of
     assert grade_of(("v", 2)) == 0
     assert grade_of(("f", ())) == -1
     assert grade_of(("f", (1, 3))) == -3
@@ -98,7 +95,7 @@ def test_extended_token_grades():
 @pytest.mark.parametrize("name", ["so3", "d2(-1)", "d1n", "dim2", "abelian(2)"])
 def test_extended_bracket_graded_antisymmetry(name):
     g = catalog(name)
-    sys = extended_system(g)
+    sys = extended_complex(g)
     for x in sys.tokens:
         for y in sys.tokens:
             a = extended_bracket(x, y, g)
@@ -122,14 +119,14 @@ def test_extended_jacobi_exhaustive(name):
 def test_extended_jacobi_negative_control():
     # corrupt one action entry: Jacobi must fail
     g = catalog("so3")
-    sys = extended_system(g)
+    sys = extended_complex(g)
 
     def bad(x, y):
         if x == ("v", 1) and y == ("f", (2,)):
             return {("f", (3,)): F(-2)}   # wrong sign
         return sys.bracket(x, y)
 
-    rep = check_system_jacobi(TokenSystem(sys.levels, bad))
+    rep = check_system_jacobi(WeightedComplex(sys.levels, bad))
     assert not rep.ok
     assert rep.first_violation is not None
     assert "FAILS" in rep.summary()
@@ -206,9 +203,9 @@ def test_extended_euler_vanishes(name):
 @pytest.mark.parametrize("name", ["so3", "d2(1)", "d1y", "dim2"])
 def test_k_zero_restriction_is_plain_homology(name):
     g = catalog(name)
-    sys = extended_system(g)
+    sys = extended_complex(g)
     # levels[0] holds the vectors: drop it to keep the k = 0 forms only
-    cx = TokenSystem(sys.levels[1:], sys.bracket).complex()
+    cx = WeightedComplex(sys.levels[1:], sys.bracket)
     for w in range(-5, 0):
         restricted = complex_homology(cx, w, -w, name)
         plain = betti_row(g, w)
@@ -261,7 +258,7 @@ def test_multivector_system_grading():
 
 def test_trivially_long_composite_passes_jacobi():
     g = catalog("so3")
-    comp = trivially_long(forms_system(g), multivector_system(3))
+    comp = trivially_long(forms_complex(g), multivector_system(3))
     rep = check_system_jacobi(comp)
     assert rep.ok
     assert rep.checked == (2 ** 3 + 7) ** 3
@@ -269,21 +266,21 @@ def test_trivially_long_composite_passes_jacobi():
 
 def test_trivially_long_cross_brackets_vanish():
     g = catalog("dim2")
-    comp = trivially_long(forms_system(g), multivector_system(2))
+    comp = trivially_long(forms_complex(g), multivector_system(2))
     assert comp.bracket((1,), ("mv", (1, 2))) == {}
     assert comp.bracket(("mv", (1,)), (1, 2)) == {}
     # the form side keeps its own bracket
-    assert comp.bracket((), (1,)) == forms_system(g).bracket((), (1,))
+    assert comp.bracket((), (1,)) == forms_complex(g).bracket((), (1,))
 
 
 def test_trivially_long_cross_pairs_call_neither_side():
     calls = []
 
-    def one_token_system(tag, g):
-        return TokenSystem([Level(g, g, ((tag, 1),))],
-                           lambda a, b: calls.append((a, b)) or {})
+    def one_token_complex(tag, g):
+        return WeightedComplex([Level(g, g, ((tag, 1),))],
+                               lambda a, b: calls.append((a, b)) or {})
 
-    comp = trivially_long(one_token_system("n", -1), one_token_system("p", 0))
+    comp = trivially_long(one_token_complex("n", -1), one_token_complex("p", 0))
     assert comp.bracket(("n", 1), ("p", 1)) == {}
     assert comp.bracket(("p", 1), ("n", 1)) == {}
     assert calls == []
@@ -296,7 +293,7 @@ def test_trivially_long_grade_validation():
     with pytest.raises(ValueError):
         trivially_long(multivector_system(2), multivector_system(2))
     with pytest.raises(ValueError):
-        trivially_long(forms_system(g), forms_system(g))
+        trivially_long(forms_complex(g), forms_complex(g))
 
 
 def test_trivially_long_composite_complex():
@@ -304,8 +301,7 @@ def test_trivially_long_composite_complex():
     # spaces coincide with the plain form complex (multivectors all have
     # non-negative grade = weight, so they cannot appear)
     g = catalog("dim2")
-    comp = trivially_long(forms_system(g), multivector_system(2))
-    cx = comp.complex()
+    cx = trivially_long(forms_complex(g), multivector_system(2))
     for w in range(-4, 0):
         for m in range(1, -w + 1):
             assert cx.dim(m, w) >= chain_dim(g, m, w)

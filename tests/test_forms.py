@@ -16,7 +16,7 @@ from formchains.forms import (
     wedge,
 )
 from formchains.liealg import catalog
-from formchains.superchain import forms_system
+from formchains.superchain import forms_complex
 
 # shorthand used throughout the weighted tables for n = 3:
 # w^{i+2} = sigma^i ^ sigma^{i+1} (indices mod 3), V = sigma^1^2^3
@@ -145,7 +145,7 @@ def test_d1n_bracket_values():
 
 def brackets(spec):
     """[[sigma^A, sigma^B]] for every pair of basis subsets (zero forms kept)."""
-    sys = forms_system(spec)
+    sys = forms_complex(spec)
     return {(a, b): sys.bracket(a, b) for a in sys.tokens for b in sys.tokens}
 
 

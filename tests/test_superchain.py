@@ -9,7 +9,7 @@ from formchains.liealg import catalog
 from formchains.superchain import (
     EnumerationCapExceeded,
     Level,
-    TokenSystem,
+    WeightedComplex,
     boundary_of_monomial,
     boundary_via_left_action,
     chain_dim,
@@ -19,7 +19,6 @@ from formchains.superchain import (
     form_levels,
     format_monomial,
     forms_complex,
-    forms_system,
     monomial_weight,
     normalize,
 )
@@ -155,16 +154,16 @@ def test_custom_level_enumeration_double_weight():
 
 def test_boundary_of_pair_is_bracket():
     g = catalog("so3")
-    br = forms_system(g).bracket
+    br = forms_complex(g).bracket
     assert boundary_of_monomial((E, Z1), gr, br) == {(W1,): -2}
     assert boundary_of_monomial((Z1, E), gr, br) == {(W1,): 2}
     d1n = catalog("d1n")
-    brn = forms_system(d1n).bracket
+    brn = forms_complex(d1n).bracket
     assert boundary_of_monomial((Z2, Z3), gr, brn) == {(V3,): 2}
 
 
 def test_boundary_of_single_and_empty():
-    br = forms_system(catalog("so3")).bracket
+    br = forms_complex(catalog("so3")).bracket
     assert boundary_of_monomial((Z1,), gr, br) == {}
     assert boundary_of_monomial((), gr, br) == {}
 
@@ -173,7 +172,7 @@ def test_boundary_triple_identity():
     # bd(A^B^C) = -A^[[B,C]] + [[A,B]]^C + (-1)^{ab} B^[[A,C]]
     for name in ("so3", "d2(-1)", "d1n", "dim2"):
         g = catalog(name)
-        br = forms_system(g).bracket
+        br = forms_complex(g).bracket
         toks = list(forms.all_subsets(g.n))
         for A in toks:
             for B in toks:
@@ -209,7 +208,7 @@ def test_boundary_well_defined_under_reordering():
     rng = random.Random(4)
     for name in ("so3", "d2(-1)", "d1n"):
         g = catalog(name)
-        br = forms_system(g).bracket
+        br = forms_complex(g).bracket
         cx = forms_complex(g)
         for w in range(-6, -2):
             for m in (2, 3, 4):
@@ -231,7 +230,7 @@ def test_boundary_of_dead_monomial_vanishes():
     # double-sum boundary cancels to zero on its own
     for name in ("so3", "dim2", "d1y"):
         g = catalog(name)
-        br = forms_system(g).bracket
+        br = forms_complex(g).bracket
         z = (1,)
         assert boundary_of_monomial((z, z), gr, br) == {}
         assert boundary_of_monomial((z, (), z), gr, br) == {}
@@ -239,7 +238,7 @@ def test_boundary_of_dead_monomial_vanishes():
 
 def test_dim2_boundary_images_closed_form():
     g = catalog("dim2")
-    br = forms_system(g).bracket
+    br = forms_complex(g).bracket
     for a in (1, 2, 3):
         for c in (0, 1, 2):
             # bd(1^a ^ z1 ^ z2 ^ V^c) = 2a(-1)^(a-1) 1^(a-1) ^ z2 ^ V^(c+1)
@@ -304,7 +303,7 @@ def test_token_system_brackets_each_pair_once():
         calls[(a, b)] += 1
         return forms.super_bracket({a: Fraction(1)}, {b: Fraction(1)}, g)
 
-    cx = TokenSystem(form_levels(3), counting).complex()
+    cx = WeightedComplex(form_levels(3), counting)
     first = cx.boundary_matrix(4, -8)
     assert cx.boundary_matrix(4, -8) == first
     assert calls and set(calls.values()) == {1}
