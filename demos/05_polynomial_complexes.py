@@ -12,8 +12,6 @@ The script prints small bases, applies d to a sample form, and tabulates
 homology across a (w, h) window with and without vector fields.
 """
 
-from fractions import Fraction
-
 from formchains import (
     double_weight_basis,
     double_weight_betti,

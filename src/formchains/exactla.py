@@ -47,11 +47,6 @@ class SparseRationalMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def transpose(self) -> "SparseRationalMatrix":
-        out = SparseRationalMatrix(self.ncols, self.nrows)
-        out.entries = {(c, r): v for (r, c), v in self.entries.items()}
-        return out
-
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
@@ -63,41 +58,6 @@ class SparseRationalMatrix:
         for (r, k), v in self.entries.items():
             for c, w in by_row.get(k, ()):
                 out.add(r, c, v * w)
-        return out
-
-    def scale(self, factor) -> "SparseRationalMatrix":
-        f = Fraction(factor)
-        out = SparseRationalMatrix(self.nrows, self.ncols)
-        if f:
-            out.entries = {rc: v * f for rc, v in self.entries.items()}
-        return out
-
-    def to_triplet_text(self) -> str:
-        """Serialize as '<nrows> <ncols>' then one 'r c p/q' line per entry."""
-        lines = [f"{self.nrows} {self.ncols}"]
-        for (r, c) in sorted(self.entries):
-            v = self.entries[(r, c)]
-            lines.append(f"{r} {c} {v.numerator}/{v.denominator}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_triplet_text(cls, text: str) -> "SparseRationalMatrix":
-        lines = [(no, ln.split("#", 1)[0].strip())
-                 for no, ln in enumerate(text.splitlines(), start=1)]
-        lines = [(no, ln) for no, ln in lines if ln]
-        if not lines:
-            raise ValueError("empty triplet text")
-        try:
-            nrows, ncols = (int(t) for t in lines[0][1].split())
-        except Exception as exc:
-            raise ValueError(f"bad triplet header {lines[0][1]!r}") from exc
-        out = cls(nrows, ncols)
-        for no, ln in lines[1:]:
-            try:
-                r, c, v = ln.split()
-                out.add(int(r), int(c), Fraction(v))
-            except (ValueError, ZeroDivisionError, IndexError) as exc:
-                raise ValueError(f"line {no}: bad triplet {ln!r}: {exc}") from exc
         return out
 
     def __repr__(self) -> str:

@@ -12,17 +12,12 @@ with L_{xi_i} sigma^j pinned down by <L_{xi_i} sigma^j, xi_k> = -c^j_{ik}
 and the Leibniz rule.  Chain spaces pick up wedge factors of vectors, which
 add degree but no weight, so the extended C_m^w decomposes by the number k
 of vector factors and dies above m = -w + n.
-
-Also here: the "trivially long" glueing of a negative-graded complex with a
-non-negative one (zero cross bracket), which is how multivectors sit next to
-forms without any interaction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .forms import _merge, _sign, add_into, add_term, super_bracket
 from .homology import complex_homology
@@ -149,41 +144,3 @@ def check_system_jacobi(cx):
 def check_extended_jacobi(spec):
     """Super Jacobi of the one-step extension, exhaustive on basis triples."""
     return check_system_jacobi(extended_complex(spec))
-
-
-# --- trivially long composites -----------------------------------------------------
-
-def multivector_system(n):
-    """Wedge powers of vector fields, grade of a j-vector is j - 1, j >= 1.
-
-    The bracket is identically zero: a stand-in occupying the non-negative
-    grades, to be glued below a form complex.
-    """
-    levels = [Level(j - 1, j - 1,
-                    tuple(("mv", c) for c in combinations(range(1, n + 1), j)))
-              for j in range(1, n + 1)]
-    return WeightedComplex(levels, lambda a, b: {})
-
-
-def trivially_long(neg, pos):
-    """Glue a negative-graded complex under a non-negative one, zero cross bracket.
-
-    Both inputs keep their own brackets; any pair straddling the two sides
-    brackets to zero.  Raises if the complexes' grades overlap the wrong half
-    or share a token name.
-    """
-    if any(g >= 0 for g in neg.grades.values()):
-        raise ValueError("negative-side complex occupies grade >= 0")
-    if any(g < 0 for g in pos.grades.values()):
-        raise ValueError("non-negative-side complex occupies grade < 0")
-    if set(neg.grades) & set(pos.grades):
-        raise ValueError("token names collide between the two complexes")
-
-    def bracket(a, b):
-        for side in (neg, pos):
-            if a in side.grades and b in side.grades:
-                return side.bracket(a, b)
-        return {}
-
-    levels = sorted(neg.levels + pos.levels, key=lambda lv: -lv.grade)
-    return WeightedComplex(levels, bracket)

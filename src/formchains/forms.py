@@ -15,7 +15,6 @@ placed in grade -(1+a).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 Form = dict  # {tuple[int, ...]: Fraction}
 
@@ -47,12 +46,6 @@ def sigma(i: int) -> Form:
 def grade(subset) -> int:
     """Super grade of an a-form: -(1 + a)."""
     return -(1 + len(subset))
-
-
-def all_subsets(n: int):
-    """Every basis subset of {1..n} by length then lexicographically."""
-    for a in range(n + 1):
-        yield from combinations(range(1, n + 1), a)
 
 
 def add_term(acc: dict, key, val) -> None:

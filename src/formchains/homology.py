@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exactla
-from .liealg import LieAlgebraSpec, catalog
 from .superchain import _ind, _nb, forms_complex
 
 

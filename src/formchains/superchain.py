@@ -83,7 +83,8 @@ def boundary_via_left_action(mono, grade_of, bracket) -> dict:
     bd(A_0 ^ R) = -A_0 ^ bd(R) + A_0.R,
     A_0.R = sum_i (-1)^{a_0(a_1+...+a_{i-1})} R with R_i replaced by [[A_0,R_i]].
 
-    Kept independent of boundary_of_monomial as a cross-check.
+    Kept independent of boundary_of_monomial as a cross-check; the tests
+    reach it as boundary_matrix(m, w, image=boundary_via_left_action).
     """
     out: dict = {}
     if len(mono) <= 1:
@@ -190,17 +191,6 @@ def _grades(levels):
     return {t: lv.grade for lv in levels for t in lv.tokens}
 
 
-def monomial_weight(mono, weight_of):
-    """Sum of factor weights (int or tuple, matching weight_of)."""
-    total = None
-    for t in mono:
-        wv = _as_tuple(weight_of(t))
-        total = wv if total is None else tuple(a + b for a, b in zip(total, wv))
-    if total is None:
-        return None
-    return total if len(total) > 1 else total[0]
-
-
 class WeightedComplex:
     """Graded tokens, one Level per occupied slot, their bracket, and the
     bases and boundary matrices of the weighted chain spaces C_m^w.
@@ -254,9 +244,6 @@ class WeightedComplex:
                 mat.add(index[tgt], c, cf)
         return mat
 
-    def boundary_matrix_left_action(self, m, w) -> SparseRationalMatrix:
-        return self.boundary_matrix(m, w, image=boundary_via_left_action)
-
 
 # --- the invariant-forms complex ---------------------------------------------
 
@@ -278,11 +265,6 @@ def chain_dim(spec_or_n, m: int, w: int) -> int:
     """dim C_m^w by direct enumeration (depends only on n)."""
     n = spec_or_n if isinstance(spec_or_n, int) else spec_or_n.n
     return len(enumerate_monomials(form_levels(n), m, w))
-
-
-def feasibility_poly(m: int, w: int) -> int:
-    """Q(m) = (-w - m)(-w - 3m); for n = 2, C_m^w is nonzero iff Q(m) <= 0."""
-    return (-w - m) * (-w - 3 * m)
 
 
 def _nb(p: int, q: int) -> int:

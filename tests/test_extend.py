@@ -4,7 +4,6 @@ import pytest
 
 from formchains import forms
 from formchains.extend import (
-    JacobiReport,
     check_extended_jacobi,
     check_system_jacobi,
     extended_betti,
@@ -12,12 +11,10 @@ from formchains.extend import (
     extended_complex,
     k_split_dims,
     lie_derivative,
-    multivector_system,
-    trivially_long,
 )
 from formchains.homology import betti_row, complex_homology
 from formchains.liealg import catalog
-from formchains.superchain import Level, WeightedComplex, chain_dim, forms_complex
+from formchains.superchain import WeightedComplex, chain_dim, forms_complex
 
 CATALOG = ["so3", "sl2r", "d2(1)", "d2(-1)", "d1n", "d1y",
            "abelian(3)", "dim2", "abelian(2)"]
@@ -48,7 +45,7 @@ def test_lie_derivative_equals_cartan_formula(name):
     # independent oracle: L_X = i_X d + d i_X on every basis form
     g = catalog(name)
     for i in range(1, g.n + 1):
-        for subset in forms.all_subsets(g.n):
+        for subset in forms_complex(g).tokens:
             f = {subset: F(1)}
             got = lie_derivative(i, f, g)
             want = forms.interior(i, forms.ext_d(f, g))
@@ -244,66 +241,3 @@ def test_extended_betti_abelian_frozen():
 def test_extended_weight_must_be_negative():
     with pytest.raises(ValueError):
         extended_betti(catalog("so3"), 0)
-
-
-# --- trivially long composites ------------------------------------------------------
-
-def test_multivector_system_grading():
-    sys = multivector_system(3)
-    assert sys.grade_of(("mv", (1,))) == 0
-    assert sys.grade_of(("mv", (1, 2, 3))) == 2
-    assert len(sys.tokens) == 7
-    assert sys.bracket(("mv", (1,)), ("mv", (2,))) == {}
-
-
-def test_trivially_long_composite_passes_jacobi():
-    g = catalog("so3")
-    comp = trivially_long(forms_complex(g), multivector_system(3))
-    rep = check_system_jacobi(comp)
-    assert rep.ok
-    assert rep.checked == (2 ** 3 + 7) ** 3
-
-
-def test_trivially_long_cross_brackets_vanish():
-    g = catalog("dim2")
-    comp = trivially_long(forms_complex(g), multivector_system(2))
-    assert comp.bracket((1,), ("mv", (1, 2))) == {}
-    assert comp.bracket(("mv", (1,)), (1, 2)) == {}
-    # the form side keeps its own bracket
-    assert comp.bracket((), (1,)) == forms_complex(g).bracket((), (1,))
-
-
-def test_trivially_long_cross_pairs_call_neither_side():
-    calls = []
-
-    def one_token_complex(tag, g):
-        return WeightedComplex([Level(g, g, ((tag, 1),))],
-                               lambda a, b: calls.append((a, b)) or {})
-
-    comp = trivially_long(one_token_complex("n", -1), one_token_complex("p", 0))
-    assert comp.bracket(("n", 1), ("p", 1)) == {}
-    assert comp.bracket(("p", 1), ("n", 1)) == {}
-    assert calls == []
-    assert comp.bracket(("p", 1), ("p", 1)) == {}
-    assert calls == [(("p", 1), ("p", 1))]
-
-
-def test_trivially_long_grade_validation():
-    g = catalog("dim2")
-    with pytest.raises(ValueError):
-        trivially_long(multivector_system(2), multivector_system(2))
-    with pytest.raises(ValueError):
-        trivially_long(forms_complex(g), forms_complex(g))
-
-
-def test_trivially_long_composite_complex():
-    # the composite is a valid graded system: its negative-weight chain
-    # spaces coincide with the plain form complex (multivectors all have
-    # non-negative grade = weight, so they cannot appear)
-    g = catalog("dim2")
-    cx = trivially_long(forms_complex(g), multivector_system(2))
-    for w in range(-4, 0):
-        for m in range(1, -w + 1):
-            assert cx.dim(m, w) >= chain_dim(g, m, w)
-    # pure multivector monomials show up at positive weights
-    assert cx.dim(1, 1) == 1   # the 2-vector, grade 1

@@ -15,11 +15,9 @@ from formchains.superchain import (
     chain_dim,
     chain_dim_formula_n3,
     enumerate_monomials,
-    feasibility_poly,
     form_levels,
     format_monomial,
     forms_complex,
-    monomial_weight,
     normalize,
 )
 
@@ -107,7 +105,7 @@ def test_basis_monomials_are_canonical_and_weighted():
         for w in range(-7, 0):
             for mono in cx.basis(m, w):
                 assert len(mono) == m
-                assert monomial_weight(mono, gr) == w
+                assert sum(gr(t) for t in mono) == w
                 s, canon = normalize(mono, gr)
                 assert (s, canon) == (1, mono)
 
@@ -127,11 +125,12 @@ def test_enumeration_cap():
         enumerate_monomials(form_levels(3), 4, -10, cap=10)
 
 
-def test_feasibility_poly_matches_enumeration_n2():
+def test_n2_support_is_quadratic_inequality():
+    # for n = 2, C_m^w is nonzero iff (-w - m)(-w - 3m) <= 0
     for w in range(-12, 0):
         for m in range(1, -w + 3):
             nonzero = chain_dim(2, m, w) > 0
-            assert nonzero == (feasibility_poly(m, w) <= 0), (m, w)
+            assert nonzero == ((-w - m) * (-w - 3 * m) <= 0), (m, w)
 
 
 def test_dim_formula_n3_matches_enumeration():
@@ -148,6 +147,13 @@ def test_custom_level_enumeration_double_weight():
     ]
     monos = enumerate_monomials(levels, 2, (-1, 1))
     assert monos == [(("v", 1), ("f", 1)), (("v", 2), ("f", 1))]
+    # positive grades with int weights, zero bracket: odd tokens repeat,
+    # even tokens cannot
+    cx = WeightedComplex([Level(2, 2, ("q",)), Level(1, 1, ("p",)),
+                          Level(-1, -1, ("e",))], lambda a, b: {})
+    assert cx.dim(2, 0) == 1      # p.e
+    assert cx.dim(2, 2) == 1      # p^2
+    assert cx.dim(2, 4) == 0      # q^2 vanishes
 
 
 # --- boundary ------------------------------------------------------------------
@@ -172,8 +178,8 @@ def test_boundary_triple_identity():
     # bd(A^B^C) = -A^[[B,C]] + [[A,B]]^C + (-1)^{ab} B^[[A,C]]
     for name in ("so3", "d2(-1)", "d1n", "dim2"):
         g = catalog(name)
-        br = forms_complex(g).bracket
-        toks = list(forms.all_subsets(g.n))
+        cx = forms_complex(g)
+        br, toks = cx.bracket, cx.tokens
         for A in toks:
             for B in toks:
                 for C in toks:
@@ -262,9 +268,8 @@ def test_double_sum_equals_left_action(name):
     cx = forms_complex(g)
     for w in range(-8, 0):
         for m in range(1, -w + 1):
-            assert cx.boundary_matrix(m, w) == cx.boundary_matrix_left_action(m, w), (
-                name, m, w,
-            )
+            oracle = cx.boundary_matrix(m, w, image=boundary_via_left_action)
+            assert cx.boundary_matrix(m, w) == oracle, (name, m, w)
 
 
 @pytest.mark.parametrize("name", CATALOG_N3 + ["dim2", "abelian(1)", "abelian(4)"])
