@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
+from math import comb
 
 from .exactla import SparseRationalMatrix
 from . import forms
@@ -124,67 +125,111 @@ def _as_tuple(w):
     return w if isinstance(w, tuple) else (w,)
 
 
+class _CompletionTable:
+    """Counts and lists the monomials of one level list, memoized per list.
+
+    N(idx, k, w) is the number of ways to pick k more tokens of total weight
+    w from levels idx, idx + 1, ...: the sum over j of ways_j *
+    N(idx + 1, k - j, w - j * weight(idx)), where an even level of c tokens
+    gives ways_j = C(c, j) and an odd one C(c + j - 1, j).  Per-coordinate
+    min/max weights of the remaining levels answer most zero states in O(1).
+    """
+
+    def __init__(self, levels):
+        self.levels = tuple(levels)
+        self.grades = _grades(self.levels)
+        self._weights = [_as_tuple(lv.weight) for lv in self.levels]
+        # per-coordinate weight ranges over the levels from index idx on
+        rev = self._weights[::-1]
+        self._lo = list(accumulate(rev, lambda a, b: tuple(map(min, a, b))))[::-1]
+        self._hi = list(accumulate(rev, lambda a, b: tuple(map(max, a, b))))[::-1]
+        self._memo: dict = {}
+
+    def _target(self, weight):
+        target = _as_tuple(weight)
+        if any(len(wv) != len(target) for wv in self._weights):
+            raise ValueError("level weight arity does not match the target")
+        return target
+
+    def _n(self, idx, k, w):
+        """N(idx, k, w) as in the class docstring."""
+        if k == 0:
+            return 0 if any(w) else 1
+        if idx == len(self.levels):
+            return 0
+        for x, lo, hi in zip(w, self._lo[idx], self._hi[idx]):
+            if not k * lo <= x <= k * hi:
+                return 0
+        key = (idx, k, w)
+        got = self._memo.get(key)
+        if got is None:
+            lv, wv = self.levels[idx], self._weights[idx]
+            c = len(lv.tokens)
+            got = 0
+            for j in range(k + 1 if lv.capacity is None else min(k, c) + 1):
+                # j tokens: a subset of an even level, a multiset of an odd one
+                ways = comb(c, j) if lv.capacity is not None else comb(c + j - 1, j) if j else 1
+                got += ways * self._n(idx + 1, k - j,
+                                      tuple(x - j * y for x, y in zip(w, wv)))
+            self._memo[key] = got
+        return got
+
+    def count(self, m, weight, cap=None):
+        """dim C_m^weight; raises EnumerationCapExceeded if it is above cap."""
+        size = self._n(0, m, self._target(weight))
+        if cap is not None and size > cap:
+            raise EnumerationCapExceeded(
+                f"{size} monomials at degree {m}, weight {weight}, "
+                f"more than the cap {cap}"
+            )
+        return size
+
+    def basis(self, m, weight, cap=None):
+        """The degree-m monomials of the given weight, after a cap check.
+
+        The walk picks j tokens from each level in turn and descends only
+        where N of the rest is nonzero, so every node it visits emits.
+        """
+        size = self.count(m, weight, cap)
+        levels, weights, grades = self.levels, self._weights, self.grades
+        out = []
+
+        def rec(idx, k_rem, w_rem, chosen):
+            if k_rem == 0:
+                # the basis element is the multiset's canonical (sorted) product
+                out.append(tuple(sorted(chosen, key=lambda t: (-grades[t], t))))
+                return
+            lv, wv = levels[idx], weights[idx]
+            kmax = k_rem if lv.capacity is None else min(k_rem, lv.capacity)
+            picker = combinations if lv.capacity is not None else combinations_with_replacement
+            for k in range(kmax + 1):
+                w2 = tuple(x - k * y for x, y in zip(w_rem, wv))
+                if not self._n(idx + 1, k_rem - k, w2):
+                    continue
+                for combo in picker(lv.tokens, k):
+                    rec(idx + 1, k_rem - k, w2, chosen + combo)
+
+        if size:
+            rec(0, m, self._target(weight), ())
+        # always on, also under python -O: the walk must list what was counted
+        if len(out) != size:
+            raise ArithmeticError(
+                f"enumerated {len(out)} monomials at degree {m}, weight {weight}, "
+                f"but counted {size}"
+            )
+        return out
+
+
 def enumerate_monomials(levels, m, weight, cap=None):
     """All degree-m monomials of the given total weight, in a fixed order.
 
     levels must be sorted by descending grade (ties resolved consistently
-    with the token order); weight is an int or a tuple of ints.
+    with the token order); weight is an int or a tuple of ints.  The size is
+    counted first and checked against cap; the walk then enters only
+    branches whose completion count is nonzero, so its cost follows the
+    output.
     """
-    target = _as_tuple(weight)
-    dims = len(target)
-    for lv in levels:
-        if len(_as_tuple(lv.weight)) != dims:
-            raise ValueError("level weight arity does not match the target")
-
-    # per-coordinate weight ranges over the levels from index idx on
-    nlev = len(levels)
-    lo = [[0] * dims for _ in range(nlev + 1)]
-    hi = [[0] * dims for _ in range(nlev + 1)]
-    for idx in range(nlev - 1, -1, -1):
-        wv = _as_tuple(levels[idx].weight)
-        for dcoord in range(dims):
-            lo[idx][dcoord] = min(wv[dcoord], lo[idx + 1][dcoord]) if idx < nlev - 1 else wv[dcoord]
-            hi[idx][dcoord] = max(wv[dcoord], hi[idx + 1][dcoord]) if idx < nlev - 1 else wv[dcoord]
-
-    out = []
-    grades = _grades(levels)
-
-    def emit(chosen):
-        if cap is not None and len(out) >= cap:
-            raise EnumerationCapExceeded(
-                f"more than {cap} monomials at degree {m}, weight {weight}"
-            )
-        # the basis element is the multiset's canonical (sorted) product
-        out.append(tuple(sorted(chosen, key=lambda t: (-grades[t], t))))
-
-    def feasible(idx, k_rem, w_rem):
-        if idx == nlev:
-            return k_rem == 0 and all(x == 0 for x in w_rem)
-        if k_rem == 0:
-            return all(x == 0 for x in w_rem)
-        for dcoord in range(dims):
-            if not k_rem * lo[idx][dcoord] <= w_rem[dcoord] <= k_rem * hi[idx][dcoord]:
-                return False
-        return True
-
-    def rec(idx, k_rem, w_rem, chosen):
-        if idx == nlev:
-            if k_rem == 0 and all(x == 0 for x in w_rem):
-                emit(chosen)
-            return
-        lv = levels[idx]
-        wv = _as_tuple(lv.weight)
-        kmax = k_rem if lv.capacity is None else min(k_rem, lv.capacity)
-        picker = combinations if lv.capacity is not None else combinations_with_replacement
-        for k in range(kmax + 1):
-            w2 = tuple(w_rem[d] - k * wv[d] for d in range(dims))
-            if not feasible(idx + 1, k_rem - k, w2):
-                continue
-            for combo in picker(lv.tokens, k):
-                rec(idx + 1, k_rem - k, w2, chosen + combo)
-
-    rec(0, m, target, ())
-    return out
+    return _CompletionTable(levels).basis(m, weight, cap)
 
 
 def _grades(levels):
@@ -200,8 +245,11 @@ class WeightedComplex:
     """
 
     def __init__(self, levels, bracket, cap=None):
-        self.levels = tuple(levels)
-        self.grades = _grades(self.levels)
+        # one completion table serves every (m, w): dims are counted from it
+        # and bases walked through it
+        self._table = _CompletionTable(levels)
+        self.levels = self._table.levels
+        self.grades = self._table.grades
         self.grade_of = self.grades.__getitem__
         self.cap = cap
         self._compute = bracket
@@ -221,13 +269,12 @@ class WeightedComplex:
     def basis(self, m, w):
         key = (m, _as_tuple(w))
         if key not in self._basis_cache:
-            self._basis_cache[key] = enumerate_monomials(
-                self.levels, m, w, cap=self.cap
-            )
+            self._basis_cache[key] = self._table.basis(m, w, self.cap)
         return self._basis_cache[key]
 
     def dim(self, m, w) -> int:
-        return len(self.basis(m, w))
+        """dim C_m^w, counted without enumerating; the cap applies to it."""
+        return self._table.count(m, w, self.cap)
 
     def boundary_matrix(self, m, w, image=boundary_of_monomial) -> SparseRationalMatrix:
         """The matrix of bd: C_m^w -> C_{m-1}^w in the enumerated bases."""
@@ -262,17 +309,15 @@ def forms_complex(spec, cap=None) -> WeightedComplex:
 
 
 def chain_dim(spec_or_n, m: int, w: int) -> int:
-    """dim C_m^w by direct enumeration (depends only on n)."""
+    """dim C_m^w, counted without enumerating (depends only on n)."""
     n = spec_or_n if isinstance(spec_or_n, int) else spec_or_n.n
-    return len(enumerate_monomials(form_levels(n), m, w))
+    return _CompletionTable(form_levels(n)).count(m, w)
 
 
 def _nb(p: int, q: int) -> int:
     # binomial that vanishes outside the combinatorial range
     if p < 0 or q < 0 or p < q:
         return 0
-    from math import comb
-
     return comb(p, q)
 
 

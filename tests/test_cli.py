@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, formats, determinism, golden diffs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -261,6 +264,25 @@ def test_cap_env_override(monkeypatch, capsys):
     # an explicit flag beats the environment
     assert main(["betti", "--algebra", "so3", "--w", "10",
                  "--cap", "100000"]) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "1", "--h", "40", "--cap", "100"],
+     "484 monomials at degree 3, weight (-1, 40), more than the cap 100"),
+    (["--n", "2", "--h", "3", "--cap", "50"],
+     "112 monomials at degree 2, weight (-1, 3), more than the cap 50"),
+], ids=["n1-h40", "n2-h3"])
+def test_polyweight_cap_fails_fast_with_the_exact_size(argv, message):
+    # the cap is checked against a count, so a huge support exits at once
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "formchains.cli", "polyweight", "--w", "1",
+         "--vectors", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"enumeration cap exceeded: {message}\n"
 
 
 @pytest.mark.parametrize("flag, env, named", [

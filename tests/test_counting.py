@@ -1,0 +1,111 @@
+"""Counted dimensions and count-guided bases against independent oracles.
+
+Bases must equal, list for list and in order, those of the walker that
+formchains used before it counted (tests/oracle_enumeration.py).  Dims
+must equal the coefficients of the super-Hilbert series
+
+    prod_even (1 + y t^g)^{n_g} / prod_odd (1 - y t^g)^{n_g},
+
+expanded here token by token, with no binomials and no recursion over
+levels.
+"""
+
+from itertools import product
+
+import pytest
+
+from formchains.extend import extended_complex
+from formchains.liealg import catalog
+from formchains.polyforms import poly_levels, support_top
+from formchains.superchain import Level, WeightedComplex, _as_tuple, form_levels
+
+import oracle_enumeration
+
+
+def zero_bracket(a, b):
+    return {}
+
+
+def assert_bases_match_oracle(levels, cases):
+    cx = WeightedComplex(levels, zero_bracket)
+    for m, w in cases:
+        assert cx.basis(m, w) == oracle_enumeration.enumerate_monomials(levels, m, w), (m, w)
+
+
+def hilbert_series(levels, m_max):
+    """{(m, weight): coefficient of y^m t^weight} for m <= m_max."""
+    arity = len(_as_tuple(levels[0].weight))
+    series = {(0, (0,) * arity): 1}
+    for lv in levels:
+        g = _as_tuple(lv.weight)
+        # an even token contributes 1 + y t^g, an odd one 1 + y t^g + y^2 t^2g + ...
+        jmax = 1 if lv.grade % 2 == 0 else m_max
+        for _ in lv.tokens:
+            out = dict(series)
+            for (m, w), c in series.items():
+                for j in range(1, min(jmax, m_max - m) + 1):
+                    key = (m + j, tuple(x + j * y for x, y in zip(w, g)))
+                    out[key] = out.get(key, 0) + c
+            series = out
+    return series
+
+
+def assert_dims_match_series(levels, m_max):
+    """Every coefficient up to y^m_max, and every zero in their bounding box."""
+    series = hilbert_series(levels, m_max)
+    cx = WeightedComplex(levels, zero_bracket)
+    weights = [w for _, w in series]
+    box = [range(min(c) - 1, max(c) + 2) for c in zip(*weights)]
+    for m in range(m_max + 1):
+        for w in product(*box):
+            assert cx.dim(m, w) == series.get((m, w), 0), (m, w)
+
+
+# --- bases against the old walker ---------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_form_bases_match_oracle(n):
+    assert_bases_match_oracle(
+        form_levels(n), [(m, w) for w in range(-10, 2) for m in range(-w + 3)])
+
+
+@pytest.mark.parametrize("name", ["so3", "d1n"])
+def test_extended_bases_match_oracle(name):
+    levels = extended_complex(catalog(name)).levels
+    assert_bases_match_oracle(
+        levels, [(m, w) for w in range(-8, 1) for m in range(-w + 5)])
+
+
+@pytest.mark.parametrize("n, vectors, grid", [
+    (1, False, [(w, h) for w in (-3, -2, -1) for h in (-1, 0, 1)]),
+    (1, True, [(w, h) for w in (-3, -2, -1, 0) for h in (-1, 0, 1)]),
+    (2, False, [(w, h) for w in (-3, -2, -1) for h in (-1, 0, 1)]),
+    # the old walker takes seconds here, so the grid stays at the cheap end
+    (2, True, [(-1, -1), (-1, -2), (0, -1), (0, -2)]),
+])
+def test_poly_bases_match_oracle(n, vectors, grid):
+    for w, h in grid:
+        top = support_top(w, h, n, vectors)
+        levels = poly_levels(n, top + 1, h, vectors)
+        assert_bases_match_oracle(levels, [(m, (w, h)) for m in range(top + 2)])
+
+
+def test_custom_levels_match_oracle():
+    double = [Level(0, (0, 1), (("v", 1), ("v", 2))), Level(-1, (-1, 0), (("f", 1),))]
+    assert_bases_match_oracle(
+        double, [(m, (w, h)) for m in range(4) for w in range(-3, 1) for h in range(4)])
+    positive = [Level(2, 2, ("q",)), Level(1, 1, ("p",)), Level(-1, -1, ("e",))]
+    assert_bases_match_oracle(
+        positive, [(m, w) for m in range(5) for w in range(-5, 9)])
+
+
+# --- dims against the super-Hilbert series -------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_form_dims_match_hilbert_series(n):
+    assert_dims_match_series(form_levels(n), 10)
+
+
+@pytest.mark.parametrize("n, vectors", [(1, False), (1, True), (2, False), (2, True)])
+def test_poly_dims_match_hilbert_series(n, vectors):
+    assert_dims_match_series(poly_levels(n, 6, 1, vectors), 6)

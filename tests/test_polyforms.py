@@ -342,6 +342,11 @@ def test_support_top_is_sharp_enough():
         from formchains.superchain import enumerate_monomials
 
         assert enumerate_monomials(levels, top + 1, (w, h)) == []
+    # the two spaces whose downward walk once hung: checked by count
+    for n, w, h in ((1, -1, 40), (2, -1, 3)):
+        top = support_top(w, h, n, True)
+        cx = double_weight_complex(n, h, top + 2, include_vectors=True)
+        assert cx.dim(top + 1, (w, h)) == 0, (n, w, h)
 
 
 # --- boundary and homology -------------------------------------------------------

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -123,6 +126,42 @@ def test_basis_deterministic_and_empty_degree():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_monomials(form_levels(3), 4, -10, cap=10)
+    # C_4^{-10} for n = 3 has 38 monomials: a cap of 38 passes, 37 trips
+    exact = "^38 monomials at degree 4, weight -10, more than the cap 37$"
+    assert len(enumerate_monomials(form_levels(3), 4, -10, cap=38)) == 38
+    with pytest.raises(EnumerationCapExceeded, match=exact):
+        enumerate_monomials(form_levels(3), 4, -10, cap=37)
+    cx = forms_complex(catalog("so3"), cap=38)
+    assert cx.dim(4, -10) == 38 and len(cx.basis(4, -10)) == 38
+    cx = forms_complex(catalog("so3"), cap=37)
+    with pytest.raises(EnumerationCapExceeded, match=exact):
+        cx.dim(4, -10)
+    with pytest.raises(EnumerationCapExceeded, match=exact):
+        cx.basis(4, -10)
+
+
+def test_walk_must_match_count_under_python_O():
+    # a count off by one must stop the walk's result, also with asserts off
+    script = "\n".join([
+        "from formchains import superchain",
+        "real = superchain._CompletionTable.count",
+        "superchain._CompletionTable.count = (",
+        "    lambda self, m, w, cap=None: real(self, m, w, cap) + 1)",
+        "print(__debug__)",
+        "try:",
+        "    superchain.enumerate_monomials(superchain.form_levels(3), 4, -10)",
+        "except ArithmeticError as exc:",
+        "    print(exc)",
+        "else:",
+        "    raise SystemExit('no ArithmeticError')",
+    ])
+    src = os.path.dirname(os.path.dirname(forms.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == ("False\nenumerated 38 monomials at degree 4, "
+                           "weight -10, but counted 39\n"), proc.stdout
 
 
 def test_n2_support_is_quadratic_inequality():
