@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .extend import check_system_jacobi, extended_betti
 from .homology import (
@@ -108,16 +109,10 @@ def resolve_cap(args):
     return int(text)
 
 
-# --- per-weight workers (module level so --jobs can pickle them) ---------------
+# --- per-weight tasks (partials of module functions, so --jobs can pickle them)
 
-def _report_worker(task):
-    kind, payload, w, cap = task
-    if kind == "betti":
-        return betti_row(payload, w, cap=cap)
-    if kind == "extended":
-        return extended_betti(payload, w, cap=cap)
-    n, h, vectors = payload
-    return double_weight_betti(w, h, n, include_vectors=vectors, cap=cap)
+def _call(task):
+    return task()
 
 
 def run_reports(tasks, jobs):
@@ -125,8 +120,8 @@ def run_reports(tasks, jobs):
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_report_worker, tasks))
-    return [_report_worker(t) for t in tasks]
+            return list(pool.map(_call, tasks))
+    return list(map(_call, tasks))
 
 
 def emit(args, reports, euler_column=False):
@@ -159,7 +154,7 @@ def cmd_betti(args) -> int:
     spec = resolve_lie_algebra(args)
     cap = resolve_cap(args)
     ws = gather_weights(args, floor=0)
-    tasks = [("betti", spec, w, cap) for w in ws]
+    tasks = [partial(betti_row, spec, w, cap=cap) for w in ws]
     return emit(args, run_reports(tasks, args.jobs))
 
 
@@ -167,7 +162,7 @@ def cmd_extended(args) -> int:
     spec = resolve_lie_algebra(args)
     cap = resolve_cap(args)
     ws = gather_weights(args, floor=0)
-    tasks = [("extended", spec, w, cap) for w in ws]
+    tasks = [partial(extended_betti, spec, w, cap=cap) for w in ws]
     return emit(args, run_reports(tasks, args.jobs), euler_column=True)
 
 
@@ -175,7 +170,8 @@ def cmd_polyweight(args) -> int:
     cap = resolve_cap(args)
     # with vector fields w = 0 is a live (pure vector) sector
     ws = gather_weights(args, floor=1 if args.vectors else 0)
-    tasks = [("poly", (args.n, args.h, args.vectors), w, cap) for w in ws]
+    tasks = [partial(double_weight_betti, w, args.h, args.n,
+                     include_vectors=args.vectors, cap=cap) for w in ws]
     return emit(args, run_reports(tasks, args.jobs), euler_column=True)
 
 
@@ -208,11 +204,6 @@ def golden_payloads(cap=None) -> dict:
     return out
 
 
-def _key_columns(header):
-    cols = header.split(",")
-    return [c for c in cols if c in ("algebra", "n", "weight", "h", "m")], cols
-
-
 def _diff_csv(name, expected, got):
     """Field-level differences between two CSV payloads."""
     msgs = []
@@ -222,7 +213,8 @@ def _diff_csv(name, expected, got):
         return [f"{name}: empty"]
     if exp_lines[0] != got_lines[0]:
         return [f"{name}: header {exp_lines[0]!r} != {got_lines[0]!r}"]
-    keys, cols = _key_columns(exp_lines[0])
+    cols = exp_lines[0].split(",")
+    keys = [c for c in cols if c in ("algebra", "n", "weight", "h", "m")]
     # the shipped file is outside input: a row of the wrong width is a mismatch
     for num, line in enumerate(exp_lines[1:], start=2):
         width = len(line.split(","))

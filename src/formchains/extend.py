@@ -19,29 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import _merge, _sign, add_into, add_term, super_bracket
+from .forms import add_into, ext_d, interior, super_bracket
 from .homology import complex_homology
 from .superchain import Level, WeightedComplex, form_levels
 
 
 def lie_derivative(i, f, spec):
-    """L_{xi_i} applied to a form (dict subset -> coefficient).
-
-    L is an even derivation: it replaces one 1-form slot at a time with
-    L_{xi_i} sigma^a = -sum_k c^a_{ik} sigma^k, no position signs.
-    """
-    out = {}
-    for subset, cf in f.items():
-        for t, a in enumerate(subset):
-            rest = subset[:t] + subset[t + 1:]
-            for k in range(1, spec.n + 1):
-                c = spec.structure_constant(i, k, a)   # c^a_{ik}
-                if not c:
-                    continue
-                # k moves from slot t to the front, then merges into the rest
-                s, srt = _merge((k,), rest)
-                if s:
-                    add_term(out, srt, -cf * c * s * _sign(t))
+    """L_{xi_i} applied to a form (dict subset -> coefficient), by Cartan's
+    formula i_{xi_i}(d f) + d(i_{xi_i} f)."""
+    out = interior(i, ext_d(f, spec))
+    add_into(out, ext_d(interior(i, f), spec))
     return out
 
 

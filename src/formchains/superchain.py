@@ -17,6 +17,7 @@ grade, ascending token.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
@@ -31,36 +32,29 @@ class EnumerationCapExceeded(Exception):
     """Raised when a basis enumeration grows past the configured cap."""
 
 
-def _key(token, grade_of):
-    return (-grade_of(token), token)
+def _insert(rest, pos, tok, grade_of):
+    """Move tok, standing at index pos of the canonical sequence rest, to its
+    canonical slot; returns (sign, monomial) or (0, None).
 
-
-def normalize(factors, grade_of):
-    """Sort factors canonically; returns (sign, monomial) or (0, None).
-
-    The sign tracks the super-exterior transpositions; a repeated even-grade
-    factor kills the monomial.
+    Crossing a factor flips the sign unless both are odd; an even tok that
+    meets its equal kills the product.
     """
-    fac = list(factors)
-    sign = 1
-    # insertion sort: short sequences, and we need every adjacent swap's sign
-    for i in range(1, len(fac)):
-        j = i
-        while j > 0 and _key(fac[j - 1], grade_of) > _key(fac[j], grade_of):
-            x = grade_of(fac[j - 1]) % 2
-            y = grade_of(fac[j]) % 2
-            if not (x and y):
-                sign = -sign  # even factors anticommute with everything
-            fac[j - 1], fac[j] = fac[j], fac[j - 1]
-            j -= 1
-    for s in range(len(fac) - 1):
-        if fac[s] == fac[s + 1] and grade_of(fac[s]) % 2 == 0:
-            return 0, None
-    return sign, tuple(fac)
+    g = grade_of(tok)
+    k = bisect_left(rest, (-g, tok), key=lambda t: (-grade_of(t), t))
+    if g % 2 == 0 and k < len(rest) and rest[k] == tok:
+        return 0, None
+    crossed = rest[k:pos] if k <= pos else rest[pos:k]
+    if g % 2:
+        crossed = [t for t in crossed if grade_of(t) % 2 == 0]
+    return _sign(len(crossed)), rest[:k] + (tok,) + rest[k:]
 
 
 def boundary_of_monomial(mono, grade_of, bracket) -> dict:
-    """All pairwise bracket insertions, as {canonical monomial: coefficient}."""
+    """All pairwise bracket insertions, as {canonical monomial: coefficient}.
+
+    mono is a canonical basis monomial, so dropping A_i and A_j leaves a
+    canonical product, and each bracket term is inserted where A_j stood.
+    """
     out: dict = {}
     par = [grade_of(t) % 2 for t in mono]
     m = len(mono)
@@ -70,41 +64,11 @@ def boundary_of_monomial(mono, grade_of, bracket) -> dict:
             if not br:
                 continue
             e = i + par[i] * sum(par[i + 1: j])
+            rest = mono[:i] + mono[i + 1: j] + mono[j + 1:]
             for tok, cf in br.items():
-                seq = mono[:i] + mono[i + 1: j] + (tok,) + mono[j + 1:]
-                s, canon = normalize(seq, grade_of)
+                s, canon = _insert(rest, j - 1, tok, grade_of)
                 if s:
                     add_term(out, canon, _sign(e) * s * cf)
-    return out
-
-
-def boundary_via_left_action(mono, grade_of, bracket) -> dict:
-    """Same boundary through the recursion
-
-    bd(A_0 ^ R) = -A_0 ^ bd(R) + A_0.R,
-    A_0.R = sum_i (-1)^{a_0(a_1+...+a_{i-1})} R with R_i replaced by [[A_0,R_i]].
-
-    Kept independent of boundary_of_monomial as a cross-check; the tests
-    reach it as boundary_matrix(m, w, image=boundary_via_left_action).
-    """
-    out: dict = {}
-    if len(mono) <= 1:
-        return out
-    a0, rest = mono[0], mono[1:]
-    for sub, cf in boundary_via_left_action(rest, grade_of, bracket).items():
-        s, canon = normalize((a0,) + sub, grade_of)
-        if s:
-            add_term(out, canon, -cf * s)
-    p0 = grade_of(a0) % 2
-    acc = 0
-    for i, tok_i in enumerate(rest):
-        e = p0 * acc
-        for tok, cf in bracket(a0, tok_i).items():
-            seq = rest[:i] + (tok,) + rest[i + 1:]
-            s, canon = normalize(seq, grade_of)
-            if s:
-                add_term(out, canon, _sign(e) * s * cf)
-        acc += grade_of(tok_i) % 2
     return out
 
 

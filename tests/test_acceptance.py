@@ -29,11 +29,12 @@ from formchains.polyforms import (
     poly_wedge,
 )
 from formchains.superchain import (
-    boundary_via_left_action,
     chain_dim,
     chain_dim_formula_n3,
     forms_complex,
 )
+
+from oracle_boundary import boundary_via_left_action
 
 CATALOG = ["so3", "sl2r", "d2(1)", "d2(-1)", "d1n", "d1y",
            "abelian(3)", "dim2", "abelian(2)"]

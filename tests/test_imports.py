@@ -1,4 +1,4 @@
-"""Every name a module or demo imports is used in it.
+"""Every name a module, demo or test oracle imports is used in it.
 
 A standard-library stand-in for a linter's unused-import rule.  The package
 __init__ is skipped: its imports are the re-exports behind __all__.
@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "formchains").glob("*.py")
                  if p.name != "__init__.py")
 SOURCES += sorted((ROOT / "demos").glob("*.py"))
+SOURCES += sorted((ROOT / "tests").glob("oracle_*.py"))
 
 
 def unused_imports(source):

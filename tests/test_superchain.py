@@ -4,25 +4,30 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from formchains import forms
+from formchains.extend import extended_complex
 from formchains.liealg import catalog
+from formchains.polyforms import double_weight_complex, support_top
 from formchains.superchain import (
     EnumerationCapExceeded,
     Level,
     WeightedComplex,
+    _insert,
     boundary_of_monomial,
-    boundary_via_left_action,
     chain_dim,
     chain_dim_formula_n3,
     enumerate_monomials,
     form_levels,
     format_monomial,
     forms_complex,
-    normalize,
 )
+
+import oracle_boundary as oracle
+from oracle_boundary import boundary_via_left_action, normalize
 
 E = ()            # the 0-form 1, grade -1
 Z1, Z2, Z3 = (1,), (2,), (3,)
@@ -76,6 +81,27 @@ def test_normalize_longer_shuffle():
     # moving E left past W1 (odd/odd: +) and past Z1 (odd/even: -), then
     # Z1 past W1 (even/odd: -): net (+1)(-1)(-1) = +1
     assert s == 1
+
+
+# --- insertion -----------------------------------------------------------------
+
+def test_insert_matches_normalize_exhaustively():
+    # every canonical sequence of up to 4 forms for n = 3: odd factors (1 and
+    # the 2-forms) may repeat, even ones (1-forms and V) appear at most once;
+    # then every token placed at every position
+    toks = forms_complex(catalog("so3")).tokens
+    dead = 0
+    for k in range(5):
+        for rest in combinations_with_replacement(toks, k):
+            if any(a == b and gr(a) % 2 == 0 for a, b in zip(rest, rest[1:])):
+                continue
+            for pos in range(k + 1):
+                for tok in toks:
+                    got = _insert(rest, pos, tok, gr)
+                    assert got == normalize(rest[:pos] + (tok,) + rest[pos:], gr), (
+                        rest, pos, tok)
+                    dead += got == (0, None)
+    assert dead  # an even token placed next to its equal
 
 
 # --- enumeration ---------------------------------------------------------------
@@ -249,7 +275,9 @@ def test_boundary_triple_identity():
 
 
 def test_boundary_well_defined_under_reordering():
-    # bd of a permuted factor sequence equals the permutation sign times bd
+    # bd of a permuted factor sequence equals the permutation sign times bd;
+    # the library takes canonical monomials only, so this checks the oracle
+    boundary_of_monomial = oracle.boundary_of_monomial
     rng = random.Random(4)
     for name in ("so3", "d2(-1)", "d1n"):
         g = catalog(name)
@@ -309,6 +337,39 @@ def test_double_sum_equals_left_action(name):
         for m in range(1, -w + 1):
             oracle = cx.boundary_matrix(m, w, image=boundary_via_left_action)
             assert cx.boundary_matrix(m, w) == oracle, (name, m, w)
+
+
+def assert_images_match_oracle(cx, w, degrees):
+    for m in degrees:
+        for mono in cx.basis(m, w):
+            got = boundary_of_monomial(mono, cx.grade_of, cx.bracket)
+            want = oracle.boundary_of_monomial(mono, cx.grade_of, cx.bracket)
+            assert got == want, (w, mono)
+
+
+@pytest.mark.parametrize("name", CATALOG_N3 + ["dim2", "abelian(2)"])
+def test_images_match_sorting_oracle_forms(name):
+    cx = forms_complex(catalog(name))
+    for w in range(-1, -11, -1):
+        assert_images_match_oracle(cx, w, range(1, -w + 1))
+
+
+@pytest.mark.parametrize("name", ["so3", "d1n"])
+def test_images_match_sorting_oracle_extended(name):
+    g = catalog(name)
+    cx = extended_complex(g)
+    for w in range(-1, -7, -1):
+        assert_images_match_oracle(cx, w, range(1, -w + g.n + 1))
+
+
+@pytest.mark.parametrize("n, w, h, vectors", [
+    *[(1, w, 0, False) for w in range(-1, -5, -1)],   # the poly goldens
+    (2, -1, -1, True), (2, 0, 0, True), (2, -2, -1, True),
+])
+def test_images_match_sorting_oracle_poly(n, w, h, vectors):
+    m_top = support_top(w, h, n, vectors)
+    cx = double_weight_complex(n, h, m_top + 1, vectors)
+    assert_images_match_oracle(cx, (w, h), range(1, m_top + 1))
 
 
 @pytest.mark.parametrize("name", CATALOG_N3 + ["dim2", "abelian(1)", "abelian(4)"])
