@@ -1,7 +1,7 @@
 """Cross-checking exact boundary ranks against floating-point SVD.
 
-Every rank in this package is computed by sparse Gaussian elimination over
-Q in exact Fraction arithmetic, so there is no numerical tolerance anywhere
+Every rank in this package is computed by sparse column elimination over Q
+in exact Fraction arithmetic, so there is no numerical tolerance anywhere
 in the library.  As an external sanity check, this script rebuilds a sweep
 of boundary matrices as dense float arrays and counts singular values above
 a tolerance.  The two rank computations agree on every matrix tested; the

@@ -116,6 +116,8 @@ def _call(task):
 
 
 def run_reports(tasks, jobs):
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     # the pool starts every worker up front: never more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:

@@ -2,6 +2,8 @@
 
 Everything here is arbitrary-precision rational (fractions.Fraction); no
 floating point is ever introduced, so ranks and kernel dimensions are exact.
+rank brings the columns to echelon form one at a time: each new column is
+reduced against the pivot columns kept so far, with no pivot search.
 """
 
 from __future__ import annotations
@@ -64,48 +66,36 @@ class SparseRationalMatrix:
         return f"SparseRationalMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
 
 
-def _bitlen(v: Fraction) -> int:
-    # pivot-size measure: total bit length of numerator and denominator
-    return abs(v.numerator).bit_length() + v.denominator.bit_length()
-
-
 def rank(mat: SparseRationalMatrix) -> int:
-    """Exact rank over Q: sparse Gaussian elimination, columns left to right.
+    """Exact rank over Q: column echelon by insertion, columns in index order.
 
-    Each column pivots on its live entry with the fewest numerator plus
-    denominator bits, first row on ties.
+    Each column is reduced at its lowest live row (the smallest row index
+    with a nonzero entry) by the kept pivot column whose lowest row that is,
+    until it is zero or its lowest row has no pivot yet; then it is kept as
+    that row's pivot.  Kept pivots have distinct lowest rows, so they are
+    independent, and a column reduced to zero is a combination of them: the
+    rank is the pivot count.
     """
-    rows: dict[int, dict[int, Fraction]] = {}
-    cols_of: dict[int, set[int]] = {}
+    cols: dict[int, dict[int, Fraction]] = {}
     for (r, c), v in mat.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols_of.setdefault(c, set()).add(r)
-    pivots = 0
-    for col in sorted(cols_of):
-        live = [r for r in cols_of[col] if r in rows and col in rows[r]]
-        if not live:
-            continue
-        live.sort()
-        piv_row = min(live, key=lambda r: (_bitlen(rows[r][col]), r))
-        piv_val = rows[piv_row][col]
-        pivot = rows.pop(piv_row)
-        for r in live:
-            if r == piv_row:
-                continue
-            factor = rows[r][col] / piv_val
-            target = rows[r]
-            for c2, v2 in pivot.items():
-                w = target.get(c2, Fraction(0)) - factor * v2
+        cols.setdefault(c, {})[r] = v
+    pivots: dict[int, dict[int, Fraction]] = {}  # lowest row -> pivot column
+    for c in sorted(cols):
+        col = cols[c]
+        while col:
+            low = min(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                break
+            factor = col[low] / pivot[low]
+            for r, v in pivot.items():
+                w = col.get(r, 0) - factor * v
                 if w:
-                    target[c2] = w
-                    if c2 != col:
-                        cols_of.setdefault(c2, set()).add(r)
+                    col[r] = w
                 else:
-                    target.pop(c2, None)
-            if not target:
-                del rows[r]
-        pivots += 1
-    return pivots
+                    del col[r]
+    return len(pivots)
 
 
 def kernel_dim(mat: SparseRationalMatrix) -> int:

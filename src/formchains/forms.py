@@ -23,10 +23,6 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def zero() -> Form:
-    return {}
-
-
 def basis_form(indices) -> Form:
     """The basis monomial sigma^{i1} ^ ... (indices strictly increasing)."""
     t = tuple(indices)

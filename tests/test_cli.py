@@ -250,6 +250,14 @@ def test_jobs_never_exceed_tasks(monkeypatch, capsys):
     assert capsys.readouterr().out == serial
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_jobs_below_one_rejected(jobs, capsys):
+    assert main(["betti", "--algebra", "so3", "--w", "2", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
 # --- caps ---------------------------------------------------------------------------
 
 def test_cap_flag_exceeded(capsys):

@@ -8,6 +8,15 @@ from formchains.exactla import (
     kernel_dim,
     rank,
 )
+from formchains.extend import extended_complex
+from formchains.liealg import catalog
+from formchains.polyforms import double_weight_complex, support_top
+from formchains.superchain import forms_complex
+
+import oracle_rank
+
+CATALOG_FORMS = ["abelian(2)", "abelian(3)", "dim2", "so3", "sl2r", "d2(1)", "d2(-1)",
+                 "d1n", "d1y", "d2(-3/2)"]
 
 
 def from_rows(rows):
@@ -108,7 +117,7 @@ def test_rank_of_known_rank_products():
                for nr, nc in ((rng.randint(1, 70), rng.randint(1, 70)) for _ in range(10))]
     for nrows, ncols, k in shapes:
         m = known_rank_matrix(rng, nrows, ncols, k)
-        assert rank(m) == k, (nrows, ncols, k)
+        assert rank(m) == oracle_rank.rank(m) == k, (nrows, ncols, k)
 
 
 def test_permutation_and_scaling_invariance():
@@ -130,7 +139,7 @@ def test_permutation_and_scaling_invariance():
         assert rank(scaled) == base
 
 
-def test_large_matrix_uses_sparse_path():
+def test_bidiagonal_chain_rank():
     # 80x80 bidiagonal: rank 79, a long chain of one-entry eliminations
     m = SparseRationalMatrix(80, 80)
     for i in range(79):
@@ -138,6 +147,37 @@ def test_large_matrix_uses_sparse_path():
         m.add(i, i + 1, -1)
     assert rank(m) == 79
     assert kernel_dim(m) == 1
+
+
+def assert_ranks_match_oracle(cx, w, degrees):
+    for m in degrees:
+        mat = cx.boundary_matrix(m, w)
+        assert rank(mat) == oracle_rank.rank(mat), (w, m)
+
+
+@pytest.mark.parametrize("name", CATALOG_FORMS)
+def test_forms_ranks_match_oracle(name):
+    cx = forms_complex(catalog(name))
+    for w in range(-1, -13, -1):
+        assert_ranks_match_oracle(cx, w, range(1, -w + 1))
+
+
+@pytest.mark.parametrize("name", ["so3", "d1n"])
+def test_extended_ranks_match_oracle(name):
+    g = catalog(name)
+    cx = extended_complex(g)
+    for w in range(-1, -7, -1):
+        assert_ranks_match_oracle(cx, w, range(1, -w + g.n + 1))
+
+
+@pytest.mark.parametrize("n, w, h, vectors", [
+    *[(1, w, 0, False) for w in range(-1, -5, -1)],   # the poly goldens
+    (2, -1, -1, True), (2, 0, 0, True), (2, -2, -1, True),
+])
+def test_poly_ranks_match_oracle(n, w, h, vectors):
+    m_top = support_top(w, h, n, vectors)
+    cx = double_weight_complex(n, h, m_top + 1, vectors)
+    assert_ranks_match_oracle(cx, (w, h), range(1, m_top + 1))
 
 
 def test_matmul():

@@ -1,7 +1,9 @@
-"""Every name a module, demo or test oracle imports is used in it.
+"""Every name a module, demo or test oracle imports is used in it, and every
+module-level def or class in the package is exported or read somewhere.
 
-A standard-library stand-in for a linter's unused-import rule.  The package
-__init__ is skipped: its imports are the re-exports behind __all__.
+A standard-library stand-in for a linter's unused-import and dead-code rules.
+The package __init__ is skipped as a source of imports and definitions: its
+imports are the re-exports behind __all__.
 """
 
 import ast
@@ -9,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+import formchains
+
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in (ROOT / "src" / "formchains").glob("*.py")
-                 if p.name != "__init__.py")
-SOURCES += sorted((ROOT / "demos").glob("*.py"))
-SOURCES += sorted((ROOT / "tests").glob("oracle_*.py"))
+PACKAGE = sorted((ROOT / "src" / "formchains").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = MODULES + DEMOS + sorted((ROOT / "tests").glob("oracle_*.py"))
 
 
 def unused_imports(source):
@@ -45,3 +49,38 @@ def test_unused_imports_are_caught():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_definitions(defining, readers, exported):
+    """(module, name) for each module-level def or class in a defining source
+    that is not exported and that no reader source reads by name or attribute.
+    """
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(module, node.name)
+            for module, source in defining.items()
+            for node in ast.parse(source).body
+            if isinstance(node, kinds)
+            and node.name not in exported and node.name not in read]
+
+
+def test_dead_definitions_are_caught():
+    defining = {"a": ("def used(): pass\ndef exported(): pass\n"
+                      "def dead(): pass\nclass Dead: pass\n"
+                      "def via_attr(): pass\ndef stored(): pass\n"),
+                "b": "def helper(): return used()\n"}
+    readers = [*defining.values(), "import a\na.via_attr()\nstored = 1\nhelper()\n"]
+    assert dead_definitions(defining, readers, {"exported"}) == [
+        ("a", "dead"), ("a", "Dead"), ("a", "stored")]
+
+
+def test_no_dead_definitions():
+    defining = {p.stem: p.read_text() for p in MODULES}
+    readers = [p.read_text() for p in PACKAGE + DEMOS]
+    assert dead_definitions(defining, readers, set(formchains.__all__)) == []
