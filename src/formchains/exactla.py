@@ -1,14 +1,19 @@
 """Exact linear algebra over Q for sparse boundary matrices.
 
-Everything here is arbitrary-precision rational (fractions.Fraction); no
-floating point is ever introduced, so ranks and kernel dimensions are exact.
-rank brings the columns to echelon form one at a time: each new column is
-reduced against the pivot columns kept so far, with no pivot search.
+Matrices hold arbitrary-precision rationals (fractions.Fraction).  rank
+brings the columns to echelon form one at a time, each new column reduced
+against the pivot columns kept so far, with no pivot search.  It works on
+integer columns, fraction free: each column is scaled once to integers, every
+step multiplies it by a nonzero integer before subtracting a pivot multiple,
+and kept pivots are primitive (the gcd of their entries is 1).  No floating
+point or modular arithmetic is used, so ranks and kernel dimensions are exact
+over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class SparseRationalMatrix:
@@ -69,28 +74,47 @@ class SparseRationalMatrix:
 def rank(mat: SparseRationalMatrix) -> int:
     """Exact rank over Q: column echelon by insertion, columns in index order.
 
-    Each column is reduced at its lowest live row (the smallest row index
-    with a nonzero entry) by the kept pivot column whose lowest row that is,
-    until it is zero or its lowest row has no pivot yet; then it is kept as
-    that row's pivot.  Kept pivots have distinct lowest rows, so they are
-    independent, and a column reduced to zero is a combination of them: the
-    rank is the pivot count.
+    Each column is scaled once to integers by the lcm of its denominators,
+    then reduced at its lowest live row (the smallest row index with a
+    nonzero entry) by the kept pivot column whose lowest row that is, until
+    it is zero or its lowest row has no pivot yet; then it is divided by the
+    gcd of its entries and kept as that row's pivot.  A step is fraction
+    free: with a = col[low] and b = pivot[low] divided by their gcd, col
+    becomes b*col - a*pivot, a nonzero multiple of col plus a multiple of a
+    pivot.  So a column reduces to zero exactly when it is a combination of
+    the kept pivots, which are independent because their lowest rows
+    differ: the rank is the pivot count.
     """
-    cols: dict[int, dict[int, Fraction]] = {}
+    cols: dict[int, dict] = {}  # Fraction entries until the column's turn
     for (r, c), v in mat.entries.items():
         cols.setdefault(c, {})[r] = v
-    pivots: dict[int, dict[int, Fraction]] = {}  # lowest row -> pivot column
+    pivots: dict[int, dict[int, int]] = {}  # lowest row -> primitive pivot column
     for c in sorted(cols):
         col = cols[c]
+        scale = lcm(*(v.denominator for v in col.values()))
+        for r, v in col.items():
+            col[r] = v.numerator * (scale // v.denominator)
         while col:
             low = min(col)
             pivot = pivots.get(low)
             if pivot is None:
+                # primitive, with a positive lowest entry, so every b below is > 0
+                g = gcd(*col.values())
+                if col[low] < 0:
+                    g = -g
+                if g != 1:
+                    for r, v in col.items():
+                        col[r] = v // g
                 pivots[low] = col
                 break
-            factor = col[low] / pivot[low]
+            a, b = col[low], pivot[low]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                for r, v in col.items():
+                    col[r] = b * v
             for r, v in pivot.items():
-                w = col.get(r, 0) - factor * v
+                w = col.get(r, 0) - a * v
                 if w:
                     col[r] = w
                 else:

@@ -103,10 +103,11 @@ class _CompletionTable:
         self.levels = tuple(levels)
         self.grades = _grades(self.levels)
         self._weights = [_as_tuple(lv.weight) for lv in self.levels]
-        # per-coordinate weight ranges over the levels from index idx on
+        # per-coordinate (min, max) weights over the levels from index idx on
         rev = self._weights[::-1]
-        self._lo = list(accumulate(rev, lambda a, b: tuple(map(min, a, b))))[::-1]
-        self._hi = list(accumulate(rev, lambda a, b: tuple(map(max, a, b))))[::-1]
+        lo = list(accumulate(rev, lambda a, b: tuple(map(min, a, b))))[::-1]
+        hi = list(accumulate(rev, lambda a, b: tuple(map(max, a, b))))[::-1]
+        self._box = [tuple(zip(*lh)) for lh in zip(lo, hi)]
         self._memo: dict = {}
 
     def _target(self, weight):
@@ -116,27 +117,69 @@ class _CompletionTable:
         return target
 
     def _n(self, idx, k, w):
-        """N(idx, k, w) as in the class docstring."""
+        """N(idx, k, w) as in the class docstring.
+
+        No recursion, so a long level list cannot reach the recursion limit:
+        the states still unknown are found level by level down from idx, then
+        summed from the deepest level up, each child before its parents.
+        """
         if k == 0:
             return 0 if any(w) else 1
         if idx == len(self.levels):
             return 0
-        for x, lo, hi in zip(w, self._lo[idx], self._hi[idx]):
+        for x, (lo, hi) in zip(w, self._box[idx]):
             if not k * lo <= x <= k * hi:
                 return 0
-        key = (idx, k, w)
-        got = self._memo.get(key)
-        if got is None:
-            lv, wv = self.levels[idx], self._weights[idx]
-            c = len(lv.tokens)
-            got = 0
-            for j in range(k + 1 if lv.capacity is None else min(k, c) + 1):
-                # j tokens: a subset of an even level, a multiset of an odd one
-                ways = comb(c, j) if lv.capacity is not None else comb(c + j - 1, j) if j else 1
-                got += ways * self._n(idx + 1, k - j,
-                                      tuple(x - j * y for x, y in zip(w, wv)))
-            self._memo[key] = got
-        return got
+        memo = self._memo
+        got = memo.get((idx, k, w))
+        if got is not None:
+            return got
+        sums = []  # (state, its known terms, [(ways, child still to sum)])
+        level = {(idx, k, w)}
+        for i in range(idx, len(self.levels)):
+            lv, wv = self.levels[i], self._weights[i]
+            c, odd = len(lv.tokens), lv.capacity is None
+            last = i + 1 == len(self.levels)
+            box = () if last else self._box[i + 1]
+            below = set()
+            for state in level:
+                _, k_rem, w_rem = state
+                known, kids = 0, []
+                for j in range(k_rem + 1 if odd else min(k_rem, c) + 1):
+                    # j tokens: a subset of an even level, a multiset of an odd one
+                    ways = comb(c, j) if not odd else comb(c + j - 1, j) if j else 1
+                    k2 = k_rem - j
+                    w2 = tuple(x - j * y for x, y in zip(w_rem, wv))
+                    # the zero tests above, once per child
+                    if k2 == 0:
+                        got = 0 if any(w2) else 1
+                    elif last:
+                        got = 0
+                    else:
+                        for x, (lo, hi) in zip(w2, box):
+                            if not k2 * lo <= x <= k2 * hi:
+                                got = 0
+                                break
+                        else:
+                            child = (i + 1, k2, w2)
+                            got = memo.get(child)
+                    if got is None:
+                        kids.append((ways, child))
+                        below.add(child)
+                    else:
+                        known += ways * got
+                if kids:
+                    sums.append((state, known, kids))
+                else:
+                    memo[state] = known
+            if not below:
+                break
+            level = below
+        for state, known, kids in reversed(sums):
+            for ways, child in kids:
+                known += ways * memo[child]
+            memo[state] = known
+        return memo[(idx, k, w)]
 
     def count(self, m, weight, cap=None):
         """dim C_m^weight; raises EnumerationCapExceeded if it is above cap."""
@@ -158,23 +201,26 @@ class _CompletionTable:
         levels, weights, grades = self.levels, self._weights, self.grades
         out = []
 
-        def rec(idx, k_rem, w_rem, chosen):
+        # depth first, on an explicit stack instead of one call per level
+        stack = [(0, m, self._target(weight), ())] if size else []
+        while stack:
+            idx, k_rem, w_rem, chosen = stack.pop()
             if k_rem == 0:
                 # the basis element is the multiset's canonical (sorted) product
                 out.append(tuple(sorted(chosen, key=lambda t: (-grades[t], t))))
-                return
+                continue
             lv, wv = levels[idx], weights[idx]
             kmax = k_rem if lv.capacity is None else min(k_rem, lv.capacity)
             picker = combinations if lv.capacity is not None else combinations_with_replacement
+            kids = []
             for k in range(kmax + 1):
                 w2 = tuple(x - k * y for x, y in zip(w_rem, wv))
                 if not self._n(idx + 1, k_rem - k, w2):
                     continue
                 for combo in picker(lv.tokens, k):
-                    rec(idx + 1, k_rem - k, w2, chosen + combo)
-
-        if size:
-            rec(0, m, self._target(weight), ())
+                    kids.append((idx + 1, k_rem - k, w2, chosen + combo))
+            # popped last first, so the children come out in order
+            stack.extend(reversed(kids))
         # always on, also under python -O: the walk must list what was counted
         if len(out) != size:
             raise ArithmeticError(

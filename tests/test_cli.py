@@ -211,6 +211,21 @@ def test_polyweight_text_with_no_degrees(capsys):
     assert capsys.readouterr().out.endswith("Euler 0\n")
 
 
+def test_polyweight_with_a_long_level_list(capsys):
+    # h = 1500 gives about 3,000 levels; counting and the basis walk must not
+    # recurse once per level
+    assert main(["polyweight", "--n", "1", "--w", "1", "--cap", "100",
+                 "--h", "1500"]) == 0
+    assert capsys.readouterr().out == (
+        "poly1, w = -1, h = 1500\n"
+        "    m     1\n"
+        "  dim     1\n"
+        " rank     0\n"
+        "  ker     1\n"
+        "Betti     1\n"
+        "Euler -1\n")
+
+
 # --- determinism and parallelism ----------------------------------------------------
 
 def test_jobs_do_not_change_bytes(capsys):

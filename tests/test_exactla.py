@@ -139,6 +139,38 @@ def test_permutation_and_scaling_invariance():
         assert rank(scaled) == base
 
 
+# exactness pins: each answer is known in closed form, and the oracle agrees
+
+def test_hilbert_matrices_have_full_rank():
+    # H_n[i][j] = 1/(i + j + 1): nonsingular, with a determinant near 4^(-n^2)
+    for n in range(1, 15):
+        m = from_rows([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+        assert rank(m) == oracle_rank.rank(m) == n, n
+
+
+def test_determinant_divisible_by_a_large_prime_is_still_nonzero():
+    # det = 2^61 - 1, a Mersenne prime: zero modulo that prime, not over Q
+    m = from_rows([[1, 1], [1, 1 + (2**61 - 1)]])
+    assert rank(m) == oracle_rank.rank(m) == 2
+
+
+def test_rank_survives_column_scaling_by_huge_rationals():
+    rng = random.Random(40)
+    for nrows, ncols, k in [(6, 5, 3), (9, 12, 7), (15, 15, 15), (20, 8, 5)]:
+        m = known_rank_matrix(rng, nrows, ncols, k)
+        scale = [Fraction(rng.choice([-1, 1]) * rng.randrange(10**39, 10**40),
+                          rng.randrange(10**39, 10**40)) for _ in range(ncols)]
+        scaled = SparseRationalMatrix(nrows, ncols, {
+            (r, c): v * scale[c] for (r, c), v in m.entries.items()})
+        assert rank(scaled) == oracle_rank.rank(scaled) == k, (nrows, ncols, k)
+
+
+def test_column_one_third_of_another():
+    col = [Fraction(1, 2), Fraction(3), Fraction(-5, 7), Fraction(0), Fraction(11, 9)]
+    m = from_rows([[v, v / 3] for v in col])
+    assert rank(m) == oracle_rank.rank(m) == 1
+
+
 def test_bidiagonal_chain_rank():
     # 80x80 bidiagonal: rank 79, a long chain of one-entry eliminations
     m = SparseRationalMatrix(80, 80)
