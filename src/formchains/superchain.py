@@ -107,7 +107,7 @@ class _CompletionTable:
         rev = self._weights[::-1]
         lo = list(accumulate(rev, lambda a, b: tuple(map(min, a, b))))[::-1]
         hi = list(accumulate(rev, lambda a, b: tuple(map(max, a, b))))[::-1]
-        self._box = [tuple(zip(*lh)) for lh in zip(lo, hi)]
+        self._box = [tuple(zip(mins, maxs)) for mins, maxs in zip(lo, hi)]
         self._memo: dict = {}
 
     def _target(self, weight):
