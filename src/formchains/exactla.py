@@ -34,7 +34,7 @@ class SparseRationalMatrix:
         """Accumulate v into entry (r, c), dropping exact zeros."""
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError(f"entry ({r}, {c}) outside {self.nrows}x{self.ncols}")
-        w = self.entries.get((r, c), Fraction(0)) + Fraction(v)
+        w = self.entries.get((r, c), 0) + (v if isinstance(v, Fraction) else Fraction(v))
         if w:
             self.entries[(r, c)] = w
         else:

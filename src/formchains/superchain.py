@@ -13,6 +13,11 @@ the doubly-graded case) and the boundary operator
 (the bracket replacing A_j in place) preserves it.  A token is any hashable,
 totally ordered within its grade; monomials are kept sorted by descending
 grade, ascending token.
+
+Boundaries are assembled per distinct factor pair: a canonical monomial is
+a list of runs of equal factors (a long 1^k run in deep form weights), and
+each pair of runs gets one bracket call and one insertion per bracket term,
+its position-pair signs folded into one integer coefficient.
 """
 
 from __future__ import annotations
@@ -50,25 +55,57 @@ def _insert(rest, pos, tok, grade_of):
 
 
 def boundary_of_monomial(mono, grade_of, bracket) -> dict:
-    """All pairwise bracket insertions, as {canonical monomial: coefficient}.
+    """bd of one product, as {canonical monomial: coefficient}.
 
-    mono is a canonical basis monomial, so dropping A_i and A_j leaves a
-    canonical product, and each bracket term is inserted where A_j stood.
+    mono is a canonical monomial, or any order of at most three factors (the
+    pair and triple identity tests pass these; dropping two factors then
+    leaves a canonical rest).  Adjacent equal even factors make the product
+    zero, and the result is {}.  bracket(A, B) must be homogeneous of grade
+    a + b.
+
+    Position pairs i < j are summed per pair of runs of equal factors (run
+    a: k_a copies of A_a from position s_a, counting from 0).  Every pair of
+    one run pair drops the same two factors, so a run pair gets one bracket
+    call, one rest and one insertion per bracket term, at the first j; and
+    its position pairs all have one sign:
+    - over i, in an odd run the exponent i + a_i(a_{i+1}+...+a_{j-1}) does
+      not move (each step adds 2), and an even run has k_a = 1;
+    - over j, a step within an odd run b adds a_i to the exponent and moves
+      the bracket term, of parity a_i + 1, across a copy of A_b, which flips
+      its insertion sign iff a_i = 1: the two cancel;
+    - for i < j in one odd run, the d-th j has exponent s_a + d and d + 1
+      choices of i, and its even bracket term crosses d copies of A_a.
+    So the sign is counted k_a k_b times, or k_a (k_a - 1) / 2 in one run.
     """
     out: dict = {}
-    par = [grade_of(t) % 2 for t in mono]
-    m = len(mono)
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = bracket(mono[i], mono[j])
+    runs = []  # [factor, first position, length, parity, odd factors before it]
+    odd = 0
+    for pos, tok in enumerate(mono):
+        if runs and runs[-1][0] == tok:
+            if not runs[-1][3]:
+                return out  # a repeated even factor: the product is zero
+            runs[-1][2] += 1
+        else:
+            runs.append([tok, pos, 1, grade_of(tok) % 2, odd])
+        odd += runs[-1][3]
+    for a, (ta, sa, ka, pa, oa) in enumerate(runs):
+        for tb, sb, kb, _, ob in runs[a:] if ka > 1 else runs[a + 1:]:
+            br = bracket(ta, tb)
             if not br:
                 continue
-            e = i + par[i] * sum(par[i + 1: j])
-            rest = mono[:i] + mono[i + 1: j] + mono[j + 1:]
+            if sb == sa:
+                mult = ka * (ka - 1) // 2
+                rest, pos = mono[:sa] + mono[sa + 2:], sa
+            else:
+                # the exponent at the first j is s_a for an even run a, and
+                # s_a - 1 + (odd factors from s_a up to s_b) for an odd one
+                mult = (ka * _sign(1 + ob - oa) if pa else 1) * kb
+                rest, pos = mono[:sa] + mono[sa + 1: sb] + mono[sb + 1:], sb - 1
+            mult *= _sign(sa)
             for tok, cf in br.items():
-                s, canon = _insert(rest, j - 1, tok, grade_of)
+                s, canon = _insert(rest, pos, tok, grade_of)
                 if s:
-                    add_term(out, canon, _sign(e) * s * cf)
+                    add_term(out, canon, s * mult * cf)
     return out
 
 
@@ -102,6 +139,9 @@ class _CompletionTable:
     def __init__(self, levels):
         self.levels = tuple(levels)
         self.grades = _grades(self.levels)
+        # canonical order: descending grade, then token
+        self.tokens = tuple(sorted(self.grades, key=lambda t: (-self.grades[t], t)))
+        self._position = {t: i for i, t in enumerate(self.tokens)}.__getitem__
         self._weights = [_as_tuple(lv.weight) for lv in self.levels]
         # per-coordinate (min, max) weights over the levels from index idx on
         rev = self._weights[::-1]
@@ -198,7 +238,7 @@ class _CompletionTable:
         where N of the rest is nonzero, so every node it visits emits.
         """
         size = self.count(m, weight, cap)
-        levels, weights, grades = self.levels, self._weights, self.grades
+        levels, weights, position = self.levels, self._weights, self._position
         out = []
 
         # depth first, on an explicit stack instead of one call per level
@@ -207,7 +247,7 @@ class _CompletionTable:
             idx, k_rem, w_rem, chosen = stack.pop()
             if k_rem == 0:
                 # the basis element is the multiset's canonical (sorted) product
-                out.append(tuple(sorted(chosen, key=lambda t: (-grades[t], t))))
+                out.append(tuple(sorted(chosen, key=position)))
                 continue
             lv, wv = levels[idx], weights[idx]
             kmax = k_rem if lv.capacity is None else min(k_rem, lv.capacity)
@@ -260,6 +300,7 @@ class WeightedComplex:
         self._table = _CompletionTable(levels)
         self.levels = self._table.levels
         self.grades = self._table.grades
+        self.tokens = self._table.tokens
         self.grade_of = self.grades.__getitem__
         self.cap = cap
         self._compute = bracket
@@ -271,10 +312,6 @@ class WeightedComplex:
         if out is None:
             out = self._memo[(a, b)] = self._compute(a, b)
         return out
-
-    @property
-    def tokens(self):
-        return tuple(sorted(self.grades, key=lambda t: (-self.grades[t], t)))
 
     def basis(self, m, w):
         key = (m, _as_tuple(w))

@@ -1,13 +1,16 @@
-"""The boundary that formchains assembled with before it inserted bracket
-terms into canonical products, kept as a test oracle for superchain.
+"""The boundaries that formchains assembled with before, kept as test
+oracles for superchain.
 
-normalize re-sorts a whole factor sequence by insertion sort, so
-boundary_of_monomial here accepts any factor order, canonical or not.
-boundary_via_left_action is the independent left-action recursion; it is
-reached as boundary_matrix(m, w, image=boundary_via_left_action).
+boundary_of_monomial is the sorting boundary: normalize re-sorts a whole
+factor sequence by insertion sort, so it accepts any factor order,
+canonical or not.  boundary_by_insertion is the position-pair boundary that
+followed it: one bracket call per pair i < j, each term inserted into the
+canonical rest.  boundary_via_left_action is the independent left-action
+recursion; it is reached as boundary_matrix(m, w, image=boundary_via_left_action).
 """
 
 from formchains.forms import _sign, add_term
+from formchains.superchain import _insert
 
 
 def _key(token, grade_of):
@@ -56,6 +59,29 @@ def boundary_of_monomial(mono, grade_of, bracket) -> dict:
                     add_term(out, canon, _sign(e) * s * cf)
     return out
 
+
+
+def boundary_by_insertion(mono, grade_of, bracket) -> dict:
+    """All pairwise bracket insertions, as {canonical monomial: coefficient}.
+
+    mono is a canonical basis monomial, so dropping A_i and A_j leaves a
+    canonical product, and each bracket term is inserted where A_j stood.
+    """
+    out: dict = {}
+    par = [grade_of(t) % 2 for t in mono]
+    m = len(mono)
+    for i in range(m):
+        for j in range(i + 1, m):
+            br = bracket(mono[i], mono[j])
+            if not br:
+                continue
+            e = i + par[i] * sum(par[i + 1: j])
+            rest = mono[:i] + mono[i + 1: j] + mono[j + 1:]
+            for tok, cf in br.items():
+                s, canon = _insert(rest, j - 1, tok, grade_of)
+                if s:
+                    add_term(out, canon, _sign(e) * s * cf)
+    return out
 
 def boundary_via_left_action(mono, grade_of, bracket) -> dict:
     """Same boundary through the recursion

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -276,7 +276,8 @@ def test_boundary_triple_identity():
 
 def test_boundary_well_defined_under_reordering():
     # bd of a permuted factor sequence equals the permutation sign times bd;
-    # the library takes canonical monomials only, so this checks the oracle
+    # the library takes canonical monomials and any order of up to three
+    # factors only, so this checks the oracle
     boundary_of_monomial = oracle.boundary_of_monomial
     rng = random.Random(4)
     for name in ("so3", "d2(-1)", "d1n"):
@@ -299,14 +300,18 @@ def test_boundary_well_defined_under_reordering():
 
 
 def test_boundary_of_dead_monomial_vanishes():
-    # sequences with a repeated even factor are zero in the algebra and their
-    # double-sum boundary cancels to zero on its own
+    # sequences with a repeated even factor are zero in the algebra: every
+    # order of up to three factors, and four factors in canonical order
     for name in ("so3", "dim2", "d1y"):
-        g = catalog(name)
-        br = forms_complex(g).bracket
-        z = (1,)
-        assert boundary_of_monomial((z, z), gr, br) == {}
-        assert boundary_of_monomial((z, (), z), gr, br) == {}
+        cx = forms_complex(catalog(name))
+        toks = cx.tokens
+        seqs = [seq for m in (2, 3) for seq in product(toks, repeat=m)]
+        seqs += combinations_with_replacement(toks, 4)
+        dead = [seq for seq in seqs
+                if any(gr(t) % 2 == 0 and seq.count(t) > 1 for t in seq)]
+        assert (Z1, Z1) in dead and (Z1, E, Z1) in dead
+        for seq in dead:
+            assert boundary_of_monomial(seq, gr, cx.bracket) == {}, (name, seq)
 
 
 def test_dim2_boundary_images_closed_form():
@@ -339,11 +344,11 @@ def test_double_sum_equals_left_action(name):
             assert cx.boundary_matrix(m, w) == oracle, (name, m, w)
 
 
-def assert_images_match_oracle(cx, w, degrees):
+def assert_images_match_oracle(cx, w, degrees, reference=oracle.boundary_of_monomial):
     for m in degrees:
         for mono in cx.basis(m, w):
             got = boundary_of_monomial(mono, cx.grade_of, cx.bracket)
-            want = oracle.boundary_of_monomial(mono, cx.grade_of, cx.bracket)
+            want = reference(mono, cx.grade_of, cx.bracket)
             assert got == want, (w, mono)
 
 
@@ -370,6 +375,35 @@ def test_images_match_sorting_oracle_poly(n, w, h, vectors):
     m_top = support_top(w, h, n, vectors)
     cx = double_weight_complex(n, h, m_top + 1, vectors)
     assert_images_match_oracle(cx, (w, h), range(1, m_top + 1))
+
+
+@pytest.mark.parametrize("name", ["so3", "d1n"])
+def test_images_match_sorting_oracle_deep_forms(name):
+    # the top five degrees at w = -16 .. -20 hold 1^k runs with k = 9 .. 20
+    cx = forms_complex(catalog(name))
+    for w in range(-16, -21, -1):
+        assert_images_match_oracle(cx, w, range(-w - 4, -w + 1))
+
+
+def test_images_match_sorting_oracle_deep_extended():
+    cx = extended_complex(catalog("so3"))
+    assert_images_match_oracle(cx, -8, range(1, 8 + 3 + 1))
+
+
+def test_images_match_insertion_oracle():
+    # the position-pair boundary, one bracket call per pair i < j
+    insertion = oracle.boundary_by_insertion
+    for name in ("so3", "d1n", "dim2", "d1y"):
+        cx = forms_complex(catalog(name))
+        for w in range(-1, -15, -1):
+            assert_images_match_oracle(cx, w, range(1, -w + 1), insertion)
+    cx = extended_complex(catalog("so3"))
+    for w in range(-1, -9, -1):
+        assert_images_match_oracle(cx, w, range(1, -w + 4), insertion)
+    for n, w, h, vectors in [(1, -4, 0, False), (2, -2, -1, True), (2, 0, 0, True)]:
+        m_top = support_top(w, h, n, vectors)
+        cx = double_weight_complex(n, h, m_top + 1, vectors)
+        assert_images_match_oracle(cx, (w, h), range(1, m_top + 1), insertion)
 
 
 @pytest.mark.parametrize("name", CATALOG_N3 + ["dim2", "abelian(1)", "abelian(4)"])
