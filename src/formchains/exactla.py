@@ -1,6 +1,6 @@
 """Exact linear algebra over Q for sparse boundary matrices.
 
-Matrices hold arbitrary-precision rationals (fractions.Fraction).  rank
+Matrices hold exact rationals: int when integral, Fraction otherwise.  rank
 brings the columns to echelon form one at a time, each new column reduced
 against the pivot columns kept so far, with no pivot search.  It works on
 integer columns, fraction free: each column is scaled once to integers, every
@@ -17,31 +17,34 @@ from math import gcd, lcm
 
 
 class SparseRationalMatrix:
-    """An nrows x ncols matrix over Q stored as {(row, col): Fraction}."""
+    """An nrows x ncols matrix over Q stored as {(row, col): value}, each value
+    an exact rational: int when integral, Fraction otherwise."""
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], int | Fraction] = {}
         if entries:
             items = entries.items() if hasattr(entries, "items") else entries
             for (r, c), v in items:
                 self.add(r, c, v)
 
     def add(self, r: int, c: int, v) -> None:
-        """Accumulate v into entry (r, c), dropping exact zeros."""
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise IndexError(f"entry ({r}, {c}) outside {self.nrows}x{self.ncols}")
-        w = self.entries.get((r, c), 0) + (v if isinstance(v, Fraction) else Fraction(v))
+        """Accumulate v into entry (r, c), dropping exact zeros; an int or
+        Fraction v is kept as it is, any other v is read as Fraction(v)."""
+        w = self[r, c] + (v if isinstance(v, (int, Fraction)) else Fraction(v))
         if w:
             self.entries[(r, c)] = w
         else:
             self.entries.pop((r, c), None)
 
-    def __getitem__(self, rc) -> Fraction:
-        return self.entries.get(rc, Fraction(0))
+    def __getitem__(self, rc) -> int | Fraction:
+        r, c = rc
+        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
+            raise IndexError(f"entry ({r}, {c}) outside {self.nrows}x{self.ncols}")
+        return self.entries.get(rc, 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -58,7 +61,7 @@ class SparseRationalMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         # column index of self == row index of other
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        by_row: dict[int, list[tuple[int, int | Fraction]]] = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
         out = SparseRationalMatrix(self.nrows, other.ncols)
@@ -85,7 +88,7 @@ def rank(mat: SparseRationalMatrix) -> int:
     the kept pivots, which are independent because their lowest rows
     differ: the rank is the pivot count.
     """
-    cols: dict[int, dict] = {}  # Fraction entries until the column's turn
+    cols: dict[int, dict] = {}  # int or Fraction entries until the column's turn
     for (r, c), v in mat.entries.items():
         cols.setdefault(c, {})[r] = v
     pivots: dict[int, dict[int, int]] = {}  # lowest row -> primitive pivot column

@@ -17,7 +17,6 @@ of vector factors and dies above m = -w + n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .forms import add_into, ext_d, interior, super_bracket
 from .homology import complex_homology
@@ -38,14 +37,10 @@ def extended_bracket(x, y, spec):
     if tx == "v" and ty == "v":
         return {("v", k): c for k, c in spec.bracket(px, py).items()}
     if tx == "v" and ty == "f":
-        return {("f", s): c
-                for s, c in lie_derivative(px, {py: Fraction(1)}, spec).items()}
+        return {("f", s): c for s, c in lie_derivative(px, {py: 1}, spec).items()}
     if tx == "f" and ty == "v":
-        return {("f", s): -c
-                for s, c in lie_derivative(py, {px: Fraction(1)}, spec).items()}
-    return {("f", s): c
-            for s, c in super_bracket({px: Fraction(1)},
-                                      {py: Fraction(1)}, spec).items()}
+        return {("f", s): -c for s, c in lie_derivative(py, {px: 1}, spec).items()}
+    return {("f", s): c for s, c in super_bracket({px: 1}, {py: 1}, spec).items()}
 
 
 def extended_complex(spec, cap=None):
@@ -122,7 +117,7 @@ def check_system_jacobi(cx):
                     ((-1) ** (gy * gx), br(y, z), x),
                     ((-1) ** (gz * gy), br(z, x), y),
                 ):
-                    add_into(res, _bilinear(br, fa, {b: Fraction(1)}), sign)
+                    add_into(res, _bilinear(br, fa, {b: 1}), sign)
                 if res:
                     return JacobiReport(False, checked, (x, y, z), res)
     return JacobiReport(True, checked)

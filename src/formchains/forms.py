@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Form = dict  # {tuple[int, ...]: Fraction}
+Form = dict  # {tuple[int, ...]: exact rational, int when integral, Fraction otherwise}
 
 
 def _sign(e: int) -> int:
@@ -46,7 +46,7 @@ def grade(subset) -> int:
 
 def add_term(acc: dict, key, val) -> None:
     """acc[key] += val, dropping the key when the sum is exactly zero."""
-    v = acc.get(key, Fraction(0)) + val
+    v = acc.get(key, 0) + val
     if v:
         acc[key] = v
     else:
@@ -54,9 +54,8 @@ def add_term(acc: dict, key, val) -> None:
 
 
 def add_into(acc: Form, other: Form, factor=1) -> None:
-    f = Fraction(factor)
     for key, v in other.items():
-        add_term(acc, key, v * f)
+        add_term(acc, key, v * factor)
 
 
 def _merge(a: tuple, b: tuple):
@@ -108,8 +107,8 @@ def ext_d(f: Form, spec) -> Form:
         for t in range(len(key)):
             # sigma^{key[:t]} ^ d sigma^{key[t]} ^ sigma^{key[t+1:]}
             piece = wedge(
-                {key[:t]: Fraction(1)},
-                wedge(d_sigma(key[t], spec), {key[t + 1:]: Fraction(1)}),
+                {key[:t]: 1},
+                wedge(d_sigma(key[t], spec), {key[t + 1:]: 1}),
             )
             add_into(out, piece, v * _sign(t))
     return out

@@ -20,13 +20,15 @@ class LieAlgebraSpec:
             raise ValueError(f"algebra dimension must be >= 1, got {n}")
         self.n = n
         self.name = name
-        self._c: dict[tuple[int, int, int], Fraction] = {}
+        # exact rationals: int when integral, Fraction otherwise
+        self._c: dict[tuple[int, int, int], int | Fraction] = {}
         if constants:
             items = constants.items() if hasattr(constants, "items") else constants
             for (i, j, k), v in items:
-                self._set(i, j, k, Fraction(v))
+                v = Fraction(v)
+                self._set(i, j, k, v.numerator if v.denominator == 1 else v)
 
-    def _set(self, i: int, j: int, k: int, v: Fraction) -> None:
+    def _set(self, i: int, j: int, k: int, v: int | Fraction) -> None:
         for idx in (i, j, k):
             if not 1 <= idx <= self.n:
                 raise ValueError(f"index {idx} outside 1..{self.n}")
@@ -39,15 +41,15 @@ class LieAlgebraSpec:
         if v:
             self._c[(i, j, k)] = v
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
+    def structure_constant(self, i: int, j: int, k: int) -> int | Fraction:
         """c^k_ij with antisymmetry in (i, j)."""
         if i == j:
-            return Fraction(0)
+            return 0
         if i < j:
-            return self._c.get((i, j, k), Fraction(0))
-        return -self._c.get((j, i, k), Fraction(0))
+            return self._c.get((i, j, k), 0)
+        return -self._c.get((j, i, k), 0)
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket(self, i: int, j: int) -> dict[int, int | Fraction]:
         """[xi_i, xi_j] as {k: coefficient}, zero terms omitted."""
         out = {}
         for k in range(1, self.n + 1):
@@ -56,7 +58,7 @@ class LieAlgebraSpec:
                 out[k] = v
         return out
 
-    def nonzero_constants(self) -> dict[tuple[int, int, int], Fraction]:
+    def nonzero_constants(self) -> dict[tuple[int, int, int], int | Fraction]:
         return dict(self._c)
 
     def rescale(self, factor) -> "LieAlgebraSpec":
@@ -74,7 +76,7 @@ class LieAlgebraSpec:
 class ValidationReport:
     ok: bool
     first_violation: tuple[int, int, int, int] | None
-    residual: Fraction | None
+    residual: int | Fraction | None
     violations: int
     checked: int
 
@@ -88,10 +90,10 @@ class ValidationReport:
         )
 
 
-def jacobi_residual(spec: LieAlgebraSpec, i: int, j: int, k: int, l: int) -> Fraction:
+def jacobi_residual(spec: LieAlgebraSpec, i: int, j: int, k: int, l: int) -> int | Fraction:
     # coefficient of xi_l in [[xi_i,xi_j],xi_k] + [[xi_j,xi_k],xi_i] + [[xi_k,xi_i],xi_j]
     c = spec.structure_constant
-    total = Fraction(0)
+    total = 0
     for m in range(1, spec.n + 1):
         total += c(i, j, m) * c(m, k, l)
         total += c(j, k, m) * c(m, i, l)

@@ -1,9 +1,10 @@
 """Polynomial-coefficient forms and vector fields on R^n, doubly weighted.
 
-A polynomial form is a dict {(alpha, A): Fraction} where alpha is an
+A polynomial form is a dict {(alpha, A): coefficient} where alpha is an
 exponent tuple of length n and A an increasing index tuple: the key stands
-for x^alpha dx^A.  A polynomial vector field is a dict {(alpha, i): Fraction}
-standing for x^alpha d/dx_i.  Every term carries two weights:
+for x^alpha dx^A.  A polynomial vector field is a dict {(alpha, i):
+coefficient} standing for x^alpha d/dx_i.  Coefficients are exact rationals:
+int when integral, Fraction otherwise.  Every term carries two weights:
 
     primary   -(1 + |A|) for forms, 0 for vector fields
     secondary |alpha| - 1 for both
@@ -30,8 +31,8 @@ from .forms import _merge, _sign, add_into, add_term
 from .homology import complex_homology
 from .superchain import Level, WeightedComplex, enumerate_monomials
 
-PolyForm = dict    # {(exponent tuple, index subset): Fraction}
-PolyVector = dict  # {(exponent tuple, direction index): Fraction}
+PolyForm = dict    # {(exponent tuple, index subset): int or Fraction}
+PolyVector = dict  # {(exponent tuple, direction index): int or Fraction}
 
 
 def monomial_form(alpha, A) -> PolyForm:
@@ -229,7 +230,7 @@ def double_weight_complex(n: int, h: int, m_top: int,
     """The chain complex over all doubly homogeneous generators."""
     levels = poly_levels(n, m_top, h, include_vectors)
     return WeightedComplex(levels, lambda ta, tb: poly_bracket(
-        {ta: Fraction(1)}, {tb: Fraction(1)}), cap)
+        {ta: 1}, {tb: 1}), cap)
 
 
 def double_weight_basis(m: int, w: int, h: int, n: int,

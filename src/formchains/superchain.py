@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 
@@ -352,7 +351,7 @@ def form_levels(n: int):
 def forms_complex(spec, cap=None) -> WeightedComplex:
     """The invariant-forms chain complex: basis subsets as tokens."""
     return WeightedComplex(form_levels(spec.n), lambda a, b: forms.super_bracket(
-        {a: Fraction(1)}, {b: Fraction(1)}, spec), cap)
+        {a: 1}, {b: 1}, spec), cap)
 
 
 def chain_dim(spec_or_n, m: int, w: int) -> int:

@@ -24,7 +24,8 @@ def rank(mat: SparseRationalMatrix) -> int:
     rows: dict[int, dict[int, Fraction]] = {}
     cols_of: dict[int, set[int]] = {}
     for (r, c), v in mat.entries.items():
-        rows.setdefault(r, {})[c] = v
+        # Fraction, so that the divisions below stay exact on int entries
+        rows.setdefault(r, {})[c] = Fraction(v)
         cols_of.setdefault(c, set()).add(r)
     pivots = 0
     for col in sorted(cols_of):

@@ -202,14 +202,50 @@ def test_extended_ranks_match_oracle(name):
         assert_ranks_match_oracle(cx, w, range(1, -w + g.n + 1))
 
 
+def _poly(n, w, h, vectors):
+    # the complex, its weight and its degrees
+    m_top = support_top(w, h, n, vectors)
+    return double_weight_complex(n, h, m_top + 1, vectors), (w, h), range(1, m_top + 1)
+
+
 @pytest.mark.parametrize("n, w, h, vectors", [
     *[(1, w, 0, False) for w in range(-1, -5, -1)],   # the poly goldens
     (2, -1, -1, True), (2, 0, 0, True), (2, -2, -1, True),
 ])
 def test_poly_ranks_match_oracle(n, w, h, vectors):
-    m_top = support_top(w, h, n, vectors)
-    cx = double_weight_complex(n, h, m_top + 1, vectors)
-    assert_ranks_match_oracle(cx, (w, h), range(1, m_top + 1))
+    assert_ranks_match_oracle(*_poly(n, w, h, vectors))
+
+
+# complexes whose brackets are integral, with the degrees to assemble
+INTEGRAL_COMPLEXES = {
+    **{name: lambda name=name: (forms_complex(catalog(name)), -6, range(1, 7))
+       for name in ("so3", "sl2r", "d1n", "dim2")},
+    "so3+T": lambda: (extended_complex(catalog("so3")), -3, range(1, 7)),
+    "poly2": lambda: _poly(2, -3, 0, False),
+    "poly1+T": lambda: _poly(1, -2, 1, True),
+}
+
+
+@pytest.mark.parametrize("name", INTEGRAL_COMPLEXES)
+def test_integral_brackets_assemble_int_entries(name):
+    # integral structure constants stay int from the bracket to the matrix
+    cx, w, degrees = INTEGRAL_COMPLEXES[name]()
+    values = [v for m in degrees for v in cx.boundary_matrix(m, w).entries.values()]
+    assert values and all(type(v) is int for v in values)
+
+
+def test_rational_brackets_assemble_fraction_entries():
+    # every bracket is one d, so scaling the constants by 1/5 scales each
+    # boundary by 1/5: Fraction entries, and the ranks of so3
+    so3 = forms_complex(catalog("so3"))
+    fifth = forms_complex(catalog("so3").rescale(Fraction(1, 5)))
+    values = []
+    for m in range(1, 7):
+        mat = fifth.boundary_matrix(m, -6)
+        values += mat.entries.values()
+        assert rank(mat) == oracle_rank.rank(mat) == rank(so3.boundary_matrix(m, -6)), m
+    assert values and all(type(v) is Fraction for v in values)
+    assert any(v.denominator == 5 for v in values)
 
 
 def test_matmul():
@@ -231,3 +267,19 @@ def test_add_accumulates_and_cancels():
     assert (1, 1) not in m.entries
     with pytest.raises(IndexError):
         m.add(2, 0, 1)
+    # int and Fraction values are kept as they are, others read as Fraction
+    m = SparseRationalMatrix(1, 4)
+    for c, v in enumerate([3, Fraction(6, 2), 0.5, "1/3"]):
+        m.add(0, c, v)
+    assert [(type(v), v) for v in m.entries.values()] == [
+        (int, 3), (Fraction, 3), (Fraction, Fraction(1, 2)), (Fraction, Fraction(1, 3))]
+
+
+def test_getitem_checks_the_index_like_add():
+    m = SparseRationalMatrix(2, 2)
+    assert type(m[(1, 1)]) is int and m[(1, 1)] == 0
+    for r, c in [(5, 5), (2, 0), (0, 2), (-1, 0)]:
+        with pytest.raises(IndexError, match=rf"entry \({r}, {c}\) outside 2x2"):
+            m[(r, c)]
+        with pytest.raises(IndexError, match=rf"entry \({r}, {c}\) outside 2x2"):
+            m.add(r, c, 1)

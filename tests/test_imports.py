@@ -1,5 +1,5 @@
-"""Every name a module, demo or test oracle imports is used in it, and every
-module-level def or class in the package is exported or read somewhere.
+"""Every name a module, demo, test or test oracle imports is used in it, and
+every module-level def or class in the package is exported or read somewhere.
 
 A standard-library stand-in for a linter's unused-import and dead-code rules.
 The package __init__ is skipped as a source of imports and definitions: its
@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "formchains").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SOURCES = MODULES + DEMOS + sorted((ROOT / "tests").glob("oracle_*.py"))
+SOURCES = MODULES + DEMOS + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):

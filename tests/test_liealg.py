@@ -96,6 +96,12 @@ def test_parse_structure_constants():
     assert g.n == 3
     assert g.structure_constant(1, 3, 2) == -2  # normalized from the 3 1 2 line
     assert validate(g).ok
+    # exact rationals: int when integral, Fraction otherwise
+    for text, value in (("1 2 3 4/2", 2), ("1 2 3 1/3", Fraction(1, 3))):
+        g = parse_structure_constants(text)
+        c, back = g.structure_constant(1, 2, 3), g.structure_constant(2, 1, 3)
+        assert (c, back) == (value, -value), text
+        assert type(c) is type(back) is type(value), text
 
 
 def test_parse_rejects_malformed_input():
