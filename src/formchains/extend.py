@@ -95,8 +95,9 @@ class JacobiReport:
     def summary(self):
         if self.ok:
             return f"super Jacobi holds on {self.checked} basis triples"
+        residual = ", ".join(f"{key}: {v}" for key, v in self.residual.items())
         return (f"super Jacobi FAILS at {self.first_violation} "
-                f"(residual {self.residual}), {self.checked} triples checked")
+                f"(residual {{{residual}}}), {self.checked} triples checked")
 
 
 def check_system_jacobi(cx):

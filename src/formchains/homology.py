@@ -52,10 +52,18 @@ def complex_homology(cx, w, m_top, name):
         raise ValueError(f"complex does not vanish above m = {m_top}")
     dims = [cx.dim(m, w) for m in range(1, m_top + 1)]
     ranks = [exactla.rank(cx.boundary_matrix(m, w)) for m in range(1, m_top + 1)]
+    return _report(name, w, dims, ranks)
+
+
+def _report(name, w, dims, ranks):
+    """The HomologyReport of dims and ranks of bd_m, m = 1 .. len(dims).
+
+    The complex must vanish above len(dims).  A negative Betti number means
+    the boundary does not square to zero; it raises ArithmeticError.
+    """
     kernels = [d - r for d, r in zip(dims, ranks)]
-    # rank of bd_{m_top+1} is 0: C_{m_top+1}^w is empty
-    betti = [kernels[i] - (ranks[i + 1] if i + 1 < m_top else 0)
-             for i in range(m_top)]
+    # the boundary out of the degree above the top has rank 0: that space is empty
+    betti = [k - r for k, r in zip(kernels, [*ranks[1:], 0])]
     if any(b < 0 for b in betti):
         raise ArithmeticError(
             f"{name} at weight {w}: negative Betti numbers {tuple(betti)}"

@@ -19,7 +19,12 @@ Chains of degree m in the doubly weighted complex C_m^{w,h} are
 super-exterior monomials in the term keys above, with the two weights
 summing to (w, h).  When vector fields are admitted, pairing a monomial
 with the weight-(0, 0) field x_1 d/dx_1 toggles the degree by one and makes
-the Euler characteristic vanish at every w < 0.
+the Euler characteristic vanish at every w < 0.  More: the Euler field
+E = sum_i x_i d/dx_i acts on C_m^{w,h} by h - w, and by Cartan's homotopy
+formula bd eps_E + eps_E bd = ad(E) for eps_E(c) = E ^ c.  So every
+vector-field complex with h != w is acyclic, and double_weight_betti takes
+its ranks from the dimension counts alone; only the diagonal h = w, and
+every complex without vector fields, is assembled and eliminated.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .forms import _merge, _sign, add_into, add_term
-from .homology import complex_homology
+from .homology import _report, complex_homology
 from .superchain import Level, WeightedComplex, enumerate_monomials
 
 PolyForm = dict    # {(exponent tuple, index subset): int or Fraction}
@@ -265,4 +270,39 @@ def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None)
     while m_top > 0 and cx.dim(m_top, (w, h)) == 0:
         m_top -= 1
     label = f"poly{n}" + ("+T" if include_vectors else "")
-    return complex_homology(cx, (w, h), m_top, label)
+    if not include_vectors or h == w:
+        return complex_homology(cx, (w, h), m_top, label)
+    return _acyclic_homology(cx, n, (w, h), m_top, label)
+
+
+def _acyclic_homology(cx, n, w, m_top, name):
+    """complex_homology of a vector-field complex with h != w, from counts.
+
+    The Euler field E makes it acyclic (see the module docstring), so with
+    r_{m_top+1} = 0, rank bd_m = dim C_m - rank bd_{m+1}, and every Betti
+    number is 0.  E must act on each token by its secondary minus its
+    primary weight, which makes ad(E) = (h - w) id on C_m^{w,h}; that is
+    checked before any rank is derived.
+    """
+    if cx.dim(m_top + 1, w):
+        raise ValueError(f"complex does not vanish above m = {m_top}")
+    dims = [cx.dim(m, w) for m in range(m_top + 1)]
+    # always on, also under python -O: ad(E) must scale each token as claimed
+    euler = [(tuple(int(j == i) for j in range(n)), i + 1) for i in range(n)]
+    for lv in cx.levels:
+        p, s = lv.weight
+        for t in lv.tokens:
+            got = {}
+            for e in euler:
+                add_into(got, cx.bracket(e, t))
+            if got != ({t: s - p} if s != p else {}):
+                raise ArithmeticError(
+                    f"the Euler field does not act on {t} by {s - p}: {got}")
+    ranks = [0] * (m_top + 2)
+    for m in range(m_top, 0, -1):
+        ranks[m] = dims[m] - ranks[m + 1]
+        if not 0 <= ranks[m] <= min(dims[m], dims[m - 1]):
+            raise ArithmeticError(
+                f"{name} at weight {w}: no acyclic ranks fit the dims "
+                f"{tuple(dims)} (rank {ranks[m]} at m = {m})")
+    return _report(name, w, dims[1:], ranks[1:-1])

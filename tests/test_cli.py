@@ -44,6 +44,22 @@ def test_validate_jacobi_violation_exits_one(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("constants, lie, forms", [
+    ("1 2 1 1\n1 3 2 1\n", "1", "-2"),
+    ("1 2 1 1/3\n1 3 2 1/2\n", "1/6", "-1/3"),
+], ids=["integral", "rational"])
+def test_validate_prints_exact_residuals(constants, lie, forms, tmp_path, capsys):
+    # residual coefficients print as numbers, whatever their type
+    path = tmp_path / "bad.txt"
+    path.write_text(constants)
+    assert main(["validate", "--algebra", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"{path}: jacobi FAILED: first violation at (i,j,k,l)=(1,2,3,2) "
+        f"residual {lie} (1 of 3 residuals nonzero)\n"
+        f"{path} forms: super Jacobi FAILS at ((), (), (2,)) "
+        f"(residual {{(1, 2, 3): {forms}}}), 3 triples checked\n")
+
+
 @pytest.mark.parametrize("command", ["betti", "extended"])
 def test_non_lie_algebra_rejected_before_homology(command, tmp_path, capsys):
     # the same structure constants as above: with Jacobi broken dd != 0
@@ -224,6 +240,26 @@ def test_polyweight_with_a_long_level_list(capsys):
         "  ker     1\n"
         "Betti     1\n"
         "Euler -1\n")
+
+
+def test_polyweight_off_diagonal_vectors_take_ranks_from_counts():
+    # h != w: the Euler field makes the complex acyclic, so no boundary is
+    # assembled; the full elimination took over 15 s here
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "formchains.cli", "polyweight", "--n", "2",
+         "--h", "1", "--w", "1", "--vectors"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "poly2+T, w = -1, h = 1\n"
+        "    m     1     2     3     4     5     6     7     8     9    10    11\n"
+        "  dim     3    40   238   848  1976  3112  3321  2332   999   220    15\n"
+        " rank     0     3    37   201   647  1329  1783  1538   794   205    15\n"
+        "  ker     3    37   201   647  1329  1783  1538   794   205    15     0\n"
+        "Betti     0     0     0     0     0     0     0     0     0     0     0\n"
+        "Euler 0\n")
 
 
 # --- determinism and parallelism ----------------------------------------------------

@@ -7,11 +7,17 @@ dF when X = F d/dx_i), so the two sides share no code path beyond d and
 the wedge.
 """
 
+import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from formchains.forms import add_into
+import formchains
+import formchains.polyforms as polyforms
+from formchains.forms import add_into, add_term
 from formchains.homology import (
     complex_homology,
     homology_csv,
@@ -37,7 +43,12 @@ from formchains.polyforms import (
     token_weights,
     vector_commutator,
 )
-from formchains.superchain import EnumerationCapExceeded, chain_dim
+from formchains.superchain import (
+    EnumerationCapExceeded,
+    _insert,
+    boundary_of_monomial,
+    chain_dim,
+)
 
 F = Fraction
 
@@ -414,6 +425,145 @@ def test_euler_vanishes_with_vectors():
         dims = [cx.dim(m, (w, h)) for m in range(1, top + 1)]
         euler = sum((-1) ** m * d for m, d in enumerate(dims, start=1))
         assert euler == 0, (n, w, h, dims)
+
+
+# the n = 1 grid around the diagonal, and three n = 2 cases the full path
+# still runs in about a second
+OFF_DIAGONAL = [
+    *[(1, w, h) for w in range(-1, -5, -1) for h in range(-2, 5) if h != w],
+    (2, -1, -2), (2, -1, 0), (2, -2, -1),
+    (1, 0, -5),   # the support is empty: m_top = 0
+]
+
+
+@pytest.mark.parametrize("n, w, h", OFF_DIAGONAL)
+def test_acyclic_shortcut_matches_full_homology(n, w, h):
+    # off the diagonal double_weight_betti derives the ranks from the dims;
+    # complex_homology assembles and eliminates every boundary
+    rep = double_weight_betti(w, h, n, include_vectors=True)
+    cx = double_weight_complex(n, h, support_top(w, h, n, True) + 1, True)
+    assert rep == complex_homology(cx, (w, h), len(rep.dims), f"poly{n}+T")
+    assert set(rep.betti) <= {0}
+
+
+def test_empty_support_gives_an_empty_report():
+    rep = double_weight_betti(0, -5, 1, include_vectors=True)
+    assert rep.dims == rep.ranks == rep.betti == ()
+
+
+@pytest.mark.parametrize("n, w, h", [
+    (1, -2, 1), (1, -3, 2), (2, -1, 0), (1, -2, -2), (2, -1, -1),
+])
+def test_euler_field_is_a_contracting_homotopy(n, w, h):
+    # Cartan's homotopy formula: with eps_E(c) = E ^ c for the Euler field
+    # E = sum_i x_i d/dx_i, bd eps_E + eps_E bd = ad(E) = (h - w) id on
+    # C_m^{w,h}, including 0 on the diagonal
+    m_top = support_top(w, h, n, True)
+    cx = double_weight_complex(n, h, m_top + 2, include_vectors=True)
+    euler = [(tuple(int(j == i) for j in range(n)), i + 1) for i in range(n)]
+
+    def eps(chain):
+        out = {}
+        for mono, cf in chain.items():
+            for e in euler:
+                s, canon = _insert(mono, 0, e, cx.grade_of)
+                if s:
+                    add_term(out, canon, s * cf)
+        return out
+
+    def bd(chain):
+        out = {}
+        for mono, cf in chain.items():
+            add_into(out, boundary_of_monomial(mono, cx.grade_of, cx.bracket), cf)
+        return out
+
+    for m in range(m_top + 1):
+        for c in cx.basis(m, (w, h)):
+            lhs = bd(eps({c: 1}))
+            add_into(lhs, eps(bd({c: 1})))
+            assert lhs == ({c: h - w} if h != w else {}), (m, c)
+
+
+# three ways to break what the acyclic shortcut relies on, each a
+# (name in polyforms, stand-in) pair built from the real polyforms module
+
+def broken_euler_eigenvalue(pf):
+    # x d/dx acts on the token x dx by 4 instead of 2
+    real = pf.poly_bracket
+
+    def bracket(x, y):
+        out = real(x, y)
+        if x == {((1,), 1): 1} and y == {((1,), (1,)): 1}:
+            return {key: 2 * v for key, v in out.items()}
+        return out
+
+    return "poly_bracket", bracket
+
+
+def miscounted_complex(pf):
+    # one more chain at degree 2 than there is
+    real = pf.double_weight_complex
+
+    def build(*args, **kwargs):
+        cx = real(*args, **kwargs)
+        dim = cx.dim
+        cx.dim = lambda m, w: dim(m, w) + (m == 2)
+        return cx
+
+    return "double_weight_complex", build
+
+
+def short_support(pf):
+    # a top degree below the support, which runs to m = 6 at (-2, 0)
+    return "support_top", lambda w, h, n, include_vectors=False: 2
+
+
+ACYCLIC_BREAKS = [
+    (broken_euler_eigenvalue, ArithmeticError,
+     r"the Euler field does not act on \(\(1,\), \(1,\)\) by 2"),
+    (miscounted_complex, ArithmeticError,
+     r"poly1\+T at weight \(-2, 0\): no acyclic ranks fit the dims"),
+    (short_support, ValueError, "complex does not vanish above m = 2"),
+]
+
+
+@pytest.mark.parametrize("breaker, error, message", ACYCLIC_BREAKS,
+                         ids=[breaker.__name__ for breaker, _, _ in ACYCLIC_BREAKS])
+def test_acyclic_shortcut_checks_raise(breaker, error, message, monkeypatch):
+    monkeypatch.setattr(polyforms, *breaker(polyforms))
+    with pytest.raises(error, match=message):
+        double_weight_betti(-2, 0, 1, include_vectors=True)
+
+
+def test_acyclic_shortcut_checks_raise_under_python_O():
+    script = "\n".join([
+        "import formchains.polyforms as pf",
+        *[inspect.getsource(breaker) for breaker, _, _ in ACYCLIC_BREAKS],
+        "print(__debug__)",
+        "for breaker in (broken_euler_eigenvalue, miscounted_complex, short_support):",
+        "    name, fake = breaker(pf)",
+        "    real = getattr(pf, name)",
+        "    setattr(pf, name, fake)",
+        "    try:",
+        "        pf.double_weight_betti(-2, 0, 1, include_vectors=True)",
+        "    except (ArithmeticError, ValueError) as exc:",
+        "        print(type(exc).__name__, exc)",
+        "    else:",
+        "        raise SystemExit(f'{breaker.__name__}: nothing raised')",
+        "    setattr(pf, name, real)",
+    ])
+    src = os.path.dirname(os.path.dirname(formchains.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[1].startswith(
+        "ArithmeticError the Euler field does not act on ((1,), (1,)) by 2")
+    assert lines[2].startswith(
+        "ArithmeticError poly1+T at weight (-2, 0): no acyclic ranks fit the dims")
+    assert lines[3] == "ValueError complex does not vanish above m = 2"
 
 
 def test_weight_validation():
