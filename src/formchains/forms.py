@@ -14,8 +14,6 @@ placed in grade -(1+a).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 Form = dict  # {tuple[int, ...]: exact rational, int when integral, Fraction otherwise}
 
 
@@ -28,15 +26,15 @@ def basis_form(indices) -> Form:
     t = tuple(indices)
     if any(t[s] >= t[s + 1] for s in range(len(t) - 1)):
         raise ValueError(f"basis indices must be strictly increasing, got {t}")
-    return {t: Fraction(1)}
+    return {t: 1}
 
 
 def one() -> Form:
-    return {(): Fraction(1)}
+    return {(): 1}
 
 
 def sigma(i: int) -> Form:
-    return {(i,): Fraction(1)}
+    return {(i,): 1}
 
 
 def grade(subset) -> int:

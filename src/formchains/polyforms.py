@@ -29,7 +29,6 @@ every complex without vector fields, is assembled and eliminated.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .forms import _merge, _sign, add_into, add_term
@@ -51,7 +50,7 @@ def monomial_form(alpha, A) -> PolyForm:
         raise ValueError(f"indices must lie in 1..{n}, got {A}")
     if any(A[s] >= A[s + 1] for s in range(len(A) - 1)):
         raise ValueError(f"indices must be strictly increasing, got {A}")
-    return {(alpha, A): Fraction(1)}
+    return {(alpha, A): 1}
 
 
 def monomial_vector(alpha, i: int) -> PolyVector:
@@ -61,7 +60,7 @@ def monomial_vector(alpha, i: int) -> PolyVector:
         raise ValueError(f"exponents must be nonnegative, got {alpha}")
     if not 1 <= i <= len(alpha):
         raise ValueError(f"direction must lie in 1..{len(alpha)}, got {i}")
-    return {(alpha, i): Fraction(1)}
+    return {(alpha, i): 1}
 
 
 def _kind(elem) -> str:
@@ -208,25 +207,19 @@ def poly_levels(n: int, m_top: int, h: int, include_vectors=False):
     if n < 1:
         raise ValueError(f"need n >= 1 variables, got n = {n}")
     smax = h + m_top - 1
+    # (grade, index tails): x^alpha d/dx_i at grade 0, x^alpha dx^A at -(1+|A|)
+    slots = [(0, range(1, n + 1))] if include_vectors else []
+    slots += [(-(1 + a), list(combinations(range(1, n + 1), a))) for a in range(n + 1)]
     levels = []
-    if include_vectors:
+    for grade, tails in slots:
         for s in range(-1, smax + 1):
             tokens = tuple(sorted(
-                (alpha, i)
+                (alpha, tail)
                 for alpha in exponent_tuples(n, s + 1)
-                for i in range(1, n + 1)
+                for tail in tails
             ))
             if tokens:
-                levels.append(Level(0, (0, s), tokens))
-    for a in range(n + 1):
-        for s in range(-1, smax + 1):
-            tokens = tuple(sorted(
-                (alpha, A)
-                for alpha in exponent_tuples(n, s + 1)
-                for A in combinations(range(1, n + 1), a)
-            ))
-            if tokens:
-                levels.append(Level(-(1 + a), (-(1 + a), s), tokens))
+                levels.append(Level(grade, (grade, s), tokens))
     return levels
 
 

@@ -14,6 +14,10 @@ the doubly-graded case) and the boundary operator
 totally ordered within its grade; monomials are kept sorted by descending
 grade, ascending token.
 
+One class, WeightedComplex, holds a list of levels, each the tokens of one
+grade and weight.  It counts every C_m^w without enumerating, walks a basis
+only where the count is nonzero, and assembles the boundary matrices.
+
 Boundaries are assembled per distinct factor pair: a canonical monomial is
 a list of runs of equal factors (a long 1^k run in deep form weights), and
 each pair of runs gets one bracket call and one insertion per bracket term,
@@ -125,35 +129,66 @@ def _as_tuple(w):
     return w if isinstance(w, tuple) else (w,)
 
 
-class _CompletionTable:
-    """Counts and lists the monomials of one level list, memoized per list.
+def _grades(levels):
+    return {t: lv.grade for lv in levels for t in lv.tokens}
 
-    N(idx, k, w) is the number of ways to pick k more tokens of total weight
-    w from levels idx, idx + 1, ...: the sum over j of ways_j *
-    N(idx + 1, k - j, w - j * weight(idx)), where an even level of c tokens
-    gives ways_j = C(c, j) and an odd one C(c + j - 1, j).  Per-coordinate
-    min/max weights of the remaining levels answer most zero states in O(1).
+
+class WeightedComplex:
+    """Graded tokens, one Level per occupied slot, their bracket, and the
+    dims, bases and boundary matrices of the weighted chain spaces C_m^w.
+
+    dim counts without enumerating.  N(idx, k, w) is the number of ways to
+    pick k more tokens of total weight w from levels idx, idx + 1, ...: the
+    sum over j of ways_j * N(idx + 1, k - j, w - j * weight(idx)), where an
+    even level of c tokens gives ways_j = C(c, j) and an odd one
+    C(c + j - 1, j).  Per-coordinate min/max weights of the remaining levels
+    answer most zero states in O(1); the counts are memoized per complex.
+    basis walks only where the count is nonzero, so its cost follows the
+    output.  The cap applies to every dim, and so to every basis.
+
+    bracket(a, b) returns {token: coefficient}; each pair is computed at most
+    once, on first use, and the result is shared, so callers must not mutate
+    it.  Callers that only count or list monomials pass None.
     """
 
-    def __init__(self, levels):
+    def __init__(self, levels, bracket, cap=None):
         self.levels = tuple(levels)
         self.grades = _grades(self.levels)
+        self.grade_of = self.grades.__getitem__
         # canonical order: descending grade, then token
         self.tokens = tuple(sorted(self.grades, key=lambda t: (-self.grades[t], t)))
         self._position = {t: i for i, t in enumerate(self.tokens)}.__getitem__
         self._weights = [_as_tuple(lv.weight) for lv in self.levels]
+        # a target weight must have the arity of every level weight
+        self._arities = {len(wv) for wv in self._weights}
         # per-coordinate (min, max) weights over the levels from index idx on
         rev = self._weights[::-1]
         lo = list(accumulate(rev, lambda a, b: tuple(map(min, a, b))))[::-1]
         hi = list(accumulate(rev, lambda a, b: tuple(map(max, a, b))))[::-1]
         self._box = [tuple(zip(mins, maxs)) for mins, maxs in zip(lo, hi)]
-        self._memo: dict = {}
+        self._counts: dict = {}
+        self.cap = cap
+        self._compute = bracket
+        self._brackets: dict = {}
+        self._basis_cache: dict = {}
 
-    def _target(self, weight):
-        target = _as_tuple(weight)
-        if any(len(wv) != len(target) for wv in self._weights):
-            raise ValueError("level weight arity does not match the target")
-        return target
+    def bracket(self, a, b):
+        out = self._brackets.get((a, b))
+        if out is None:
+            out = self._brackets[(a, b)] = self._compute(a, b)
+        return out
+
+    def _known(self, state):
+        """N(idx, k, w) of a state if a zero test or the memo gives it, else None."""
+        idx, k, w = state
+        if k == 0:
+            return 0 if any(w) else 1
+        if idx == len(self.levels):
+            return 0
+        for x, (lo, hi) in zip(w, self._box[idx]):
+            if not k * lo <= x <= k * hi:
+                return 0
+        return self._counts.get(state)
 
     def _n(self, idx, k, w):
         """N(idx, k, w) as in the class docstring.
@@ -162,15 +197,8 @@ class _CompletionTable:
         the states still unknown are found level by level down from idx, then
         summed from the deepest level up, each child before its parents.
         """
-        if k == 0:
-            return 0 if any(w) else 1
-        if idx == len(self.levels):
-            return 0
-        for x, (lo, hi) in zip(w, self._box[idx]):
-            if not k * lo <= x <= k * hi:
-                return 0
-        memo = self._memo
-        got = memo.get((idx, k, w))
+        known, memo = self._known, self._counts
+        got = known((idx, k, w))
         if got is not None:
             return got
         sums = []  # (state, its known terms, [(ways, child still to sum)])
@@ -178,70 +206,62 @@ class _CompletionTable:
         for i in range(idx, len(self.levels)):
             lv, wv = self.levels[i], self._weights[i]
             c, odd = len(lv.tokens), lv.capacity is None
-            last = i + 1 == len(self.levels)
-            box = () if last else self._box[i + 1]
             below = set()
             for state in level:
                 _, k_rem, w_rem = state
-                known, kids = 0, []
+                total, kids = 0, []
                 for j in range(k_rem + 1 if odd else min(k_rem, c) + 1):
                     # j tokens: a subset of an even level, a multiset of an odd one
                     ways = comb(c, j) if not odd else comb(c + j - 1, j) if j else 1
-                    k2 = k_rem - j
                     w2 = tuple(x - j * y for x, y in zip(w_rem, wv))
-                    # the zero tests above, once per child
-                    if k2 == 0:
-                        got = 0 if any(w2) else 1
-                    elif last:
-                        got = 0
-                    else:
-                        for x, (lo, hi) in zip(w2, box):
-                            if not k2 * lo <= x <= k2 * hi:
-                                got = 0
-                                break
-                        else:
-                            child = (i + 1, k2, w2)
-                            got = memo.get(child)
+                    child = (i + 1, k_rem - j, w2)
+                    got = known(child)
                     if got is None:
                         kids.append((ways, child))
                         below.add(child)
                     else:
-                        known += ways * got
+                        total += ways * got
                 if kids:
-                    sums.append((state, known, kids))
+                    sums.append((state, total, kids))
                 else:
-                    memo[state] = known
+                    memo[state] = total
             if not below:
                 break
             level = below
-        for state, known, kids in reversed(sums):
+        for state, total, kids in reversed(sums):
             for ways, child in kids:
-                known += ways * memo[child]
-            memo[state] = known
+                total += ways * memo[child]
+            memo[state] = total
         return memo[(idx, k, w)]
 
-    def count(self, m, weight, cap=None):
-        """dim C_m^weight; raises EnumerationCapExceeded if it is above cap."""
-        size = self._n(0, m, self._target(weight))
-        if cap is not None and size > cap:
+    def dim(self, m, w) -> int:
+        """dim C_m^w, counted without enumerating; the cap applies to it."""
+        target = _as_tuple(w)
+        if self._arities - {len(target)}:
+            raise ValueError("level weight arity does not match the target")
+        size = self._n(0, m, target)
+        if self.cap is not None and size > self.cap:
             raise EnumerationCapExceeded(
-                f"{size} monomials at degree {m}, weight {weight}, "
-                f"more than the cap {cap}"
+                f"{size} monomials at degree {m}, weight {w}, "
+                f"more than the cap {self.cap}"
             )
         return size
 
-    def basis(self, m, weight, cap=None):
-        """The degree-m monomials of the given weight, after a cap check.
+    def basis(self, m, w):
+        """The degree-m monomials of weight w, memoized, after the cap check.
 
         The walk picks j tokens from each level in turn and descends only
         where N of the rest is nonzero, so every node it visits emits.
         """
-        size = self.count(m, weight, cap)
+        key = (m, _as_tuple(w))
+        if key in self._basis_cache:
+            return self._basis_cache[key]
+        size = self.dim(m, w)
         levels, weights, position = self.levels, self._weights, self._position
         out = []
 
         # depth first, on an explicit stack instead of one call per level
-        stack = [(0, m, self._target(weight), ())] if size else []
+        stack = [(0, m, key[1], ())] if size else []
         while stack:
             idx, k_rem, w_rem, chosen = stack.pop()
             if k_rem == 0:
@@ -263,64 +283,11 @@ class _CompletionTable:
         # always on, also under python -O: the walk must list what was counted
         if len(out) != size:
             raise ArithmeticError(
-                f"enumerated {len(out)} monomials at degree {m}, weight {weight}, "
+                f"enumerated {len(out)} monomials at degree {m}, weight {w}, "
                 f"but counted {size}"
             )
+        self._basis_cache[key] = out
         return out
-
-
-def enumerate_monomials(levels, m, weight, cap=None):
-    """All degree-m monomials of the given total weight, in a fixed order.
-
-    levels must be sorted by descending grade (ties resolved consistently
-    with the token order); weight is an int or a tuple of ints.  The size is
-    counted first and checked against cap; the walk then enters only
-    branches whose completion count is nonzero, so its cost follows the
-    output.
-    """
-    return _CompletionTable(levels).basis(m, weight, cap)
-
-
-def _grades(levels):
-    return {t: lv.grade for lv in levels for t in lv.tokens}
-
-
-class WeightedComplex:
-    """Graded tokens, one Level per occupied slot, their bracket, and the
-    bases and boundary matrices of the weighted chain spaces C_m^w.
-
-    bracket(a, b) returns {token: coefficient}; each pair is computed at most
-    once, on first use, and the result is shared, so callers must not mutate it.
-    """
-
-    def __init__(self, levels, bracket, cap=None):
-        # one completion table serves every (m, w): dims are counted from it
-        # and bases walked through it
-        self._table = _CompletionTable(levels)
-        self.levels = self._table.levels
-        self.grades = self._table.grades
-        self.tokens = self._table.tokens
-        self.grade_of = self.grades.__getitem__
-        self.cap = cap
-        self._compute = bracket
-        self._memo: dict = {}
-        self._basis_cache: dict = {}
-
-    def bracket(self, a, b):
-        out = self._memo.get((a, b))
-        if out is None:
-            out = self._memo[(a, b)] = self._compute(a, b)
-        return out
-
-    def basis(self, m, w):
-        key = (m, _as_tuple(w))
-        if key not in self._basis_cache:
-            self._basis_cache[key] = self._table.basis(m, w, self.cap)
-        return self._basis_cache[key]
-
-    def dim(self, m, w) -> int:
-        """dim C_m^w, counted without enumerating; the cap applies to it."""
-        return self._table.count(m, w, self.cap)
 
     def boundary_matrix(self, m, w, image=boundary_of_monomial) -> SparseRationalMatrix:
         """The matrix of bd: C_m^w -> C_{m-1}^w in the enumerated bases."""
@@ -336,6 +303,16 @@ class WeightedComplex:
                     )
                 mat.add(index[tgt], c, cf)
         return mat
+
+
+def enumerate_monomials(levels, m, weight, cap=None):
+    """All degree-m monomials of the given total weight, in a fixed order.
+
+    levels must be sorted by descending grade (ties resolved consistently
+    with the token order); weight is an int or a tuple of ints.  The size is
+    counted first and checked against cap.
+    """
+    return WeightedComplex(levels, None, cap).basis(m, weight)
 
 
 # --- the invariant-forms complex ---------------------------------------------
@@ -357,7 +334,7 @@ def forms_complex(spec, cap=None) -> WeightedComplex:
 def chain_dim(spec_or_n, m: int, w: int) -> int:
     """dim C_m^w, counted without enumerating (depends only on n)."""
     n = spec_or_n if isinstance(spec_or_n, int) else spec_or_n.n
-    return _CompletionTable(form_levels(n)).count(m, w)
+    return WeightedComplex(form_levels(n), None).dim(m, w)
 
 
 def _nb(p: int, q: int) -> int:

@@ -15,6 +15,7 @@ from formchains.forms import (
     wedge,
 )
 from formchains.liealg import catalog
+from formchains.polyforms import monomial_form, monomial_vector
 from formchains.superchain import forms_complex
 
 # shorthand used throughout the weighted tables for n = 3:
@@ -25,6 +26,16 @@ V = (1, 2, 3)
 
 CATALOG_N3 = ["abelian(3)", "so3", "sl2r", "d2(1)", "d2(-1)", "d1n", "d1y"]
 CATALOG_SMALL = CATALOG_N3 + ["abelian(1)", "abelian(2)", "dim2"]
+
+
+@pytest.mark.parametrize("unit", [
+    basis_form((1, 2)), one(), sigma(3),
+    monomial_form((1, 0), (2,)), monomial_vector((0, 2), 1),
+], ids=["basis_form", "one", "sigma", "monomial_form", "monomial_vector"])
+def test_unit_constructors_give_int_one(unit):
+    # integral coefficients are int from the start, as in every bracket
+    [v] = unit.values()
+    assert type(v) is int and v == 1
 
 
 def test_wedge_basics():

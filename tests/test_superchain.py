@@ -11,7 +11,7 @@ import pytest
 from formchains import forms
 from formchains.extend import extended_complex
 from formchains.liealg import catalog
-from formchains.polyforms import double_weight_complex, support_top
+from formchains.polyforms import double_weight_complex, poly_levels, support_top
 from formchains.superchain import (
     EnumerationCapExceeded,
     Level,
@@ -170,9 +170,8 @@ def test_walk_must_match_count_under_python_O():
     # a count off by one must stop the walk's result, also with asserts off
     script = "\n".join([
         "from formchains import superchain",
-        "real = superchain._CompletionTable.count",
-        "superchain._CompletionTable.count = (",
-        "    lambda self, m, w, cap=None: real(self, m, w, cap) + 1)",
+        "real = superchain.WeightedComplex.dim",
+        "superchain.WeightedComplex.dim = lambda self, m, w: real(self, m, w) + 1",
         "print(__debug__)",
         "try:",
         "    superchain.enumerate_monomials(superchain.form_levels(3), 4, -10)",
@@ -202,6 +201,19 @@ def test_dim_formula_n3_matches_enumeration():
     for w in range(-15, 0):
         for m in range(0, -w + 2):
             assert chain_dim_formula_n3(m, w) == chain_dim(3, m, w), (m, w)
+
+
+@pytest.mark.parametrize("levels, weight", [
+    (form_levels(3), (-4, 0)), (poly_levels(1, 2, 0), -4),
+], ids=["pair-on-forms", "int-on-poly"])
+def test_weight_arity_must_match_the_levels(levels, weight):
+    message = "^level weight arity does not match the target$"
+    with pytest.raises(ValueError, match=message):
+        WeightedComplex(levels, None).dim(2, weight)
+    with pytest.raises(ValueError, match=message):
+        WeightedComplex(levels, None).basis(2, weight)
+    with pytest.raises(ValueError, match=message):
+        enumerate_monomials(levels, 2, weight)
 
 
 def test_custom_level_enumeration_double_weight():
