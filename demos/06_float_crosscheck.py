@@ -1,10 +1,10 @@
 """Cross-checking exact boundary ranks against floating-point SVD.
 
-Every rank in this package is computed by sparse column elimination over Q
-in exact Fraction arithmetic, so there is no numerical tolerance anywhere
-in the library.  As an external sanity check, this script rebuilds a sweep
-of boundary matrices as dense float arrays and counts singular values above
-a tolerance.  The two rank computations agree on every matrix tested; the
+Every rank in this package is computed by exact column elimination over Q,
+on columns scaled once to integers and reduced fraction free, so there is
+no numerical tolerance anywhere in the library.  As an external sanity
+check, this script rebuilds a sweep of boundary matrices as dense float
+arrays and counts singular values above a tolerance.  The two rank computations agree on every matrix tested; the
 exact one remains authoritative (an SVD threshold can misjudge an
 ill-conditioned matrix, exact elimination cannot).
 

@@ -34,7 +34,7 @@ from .homology import (
 )
 from .liealg import catalog, load_structure_constants, validate
 from .polyforms import double_weight_betti
-from .superchain import EnumerationCapExceeded, chain_dim, forms_complex
+from .superchain import EnumerationCapExceeded, WeightedComplex, form_levels, forms_complex
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -186,15 +186,14 @@ def golden_payloads(cap=None) -> dict:
         betti_table(catalog("dim2"), range(-1, -13, -1), cap=cap)
     )
     lines = ["n,weight,m,dim"]
+    n3 = WeightedComplex(form_levels(3), None)
     for w in range(-1, -7, -1):
         for m in range(1, -w + 1):
-            lines.append(f"3,{w},{m},{chain_dim(3, m, w)}")
+            lines.append(f"3,{w},{m},{n3.dim(m, w)}")
     out["n3_dims.csv"] = "\n".join(lines) + "\n"
     reports = []
     for label in ("d3", "d2y", "d2n", "d1y", "d1n"):
-        spec = catalog(label)
-        for w in (-3, -5, -10):
-            reports.append(betti_row(spec, w, cap=cap, name=label))
+        reports += betti_table(catalog(label), (-3, -5, -10), cap=cap, name=label)
     out["weighted_tables.csv"] = homology_csv(reports)
     out["extended_so3.csv"] = homology_csv(
         [extended_betti(catalog("so3"), -3, cap=cap)], euler_column=True

@@ -57,24 +57,14 @@ def add_into(acc: Form, other: Form, factor=1) -> None:
 
 
 def _merge(a: tuple, b: tuple):
-    """Merge two increasing index tuples; returns (sign, merged) or (0, None)."""
+    """Merge two increasing index tuples; returns (sign, merged) or (0, None).
+
+    The sign is that of the shuffle, (-1)^(inversions): one inversion for
+    each pair x in a, y in b with x > y, where y moves past x to its slot.
+    """
     if set(a) & set(b):
         return 0, None
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i one-forms
-            merged.append(b[j])
-            sign *= _sign(len(a) - i)
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return sign, tuple(merged)
+    return _sign(sum(x > y for x in a for y in b)), tuple(sorted(a + b))
 
 
 def wedge(f: Form, g: Form) -> Form:
@@ -126,8 +116,7 @@ def interior(i: int, f: Form) -> Form:
     """Contraction with the frame vector xi_i (so <sigma^j, xi_i> = delta^j_i)."""
     out: Form = {}
     for key, v in f.items():
-        for t, idx in enumerate(key):
-            if idx == i:
-                add_term(out, key[:t] + key[t + 1:], v * _sign(t))
-                break  # indices are distinct; xi_i matches at most once
+        if i in key:  # indices are distinct: at most one slot matches
+            t = key.index(i)
+            add_term(out, key[:t] + key[t + 1:], v * _sign(t))
     return out

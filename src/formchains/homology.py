@@ -154,9 +154,11 @@ def predicted_rank(family, m, w):
     """Binomial closed form for rank bd_m on C_m^w, n = 3.
 
     family is one of the classify_3d labels except "abelian" (whose ranks
-    are all zero anyway).  The d3 expressions are known to overcount once
-    several monomial families overlap (first at w = -10, m = 4); see
-    rank_formula_check for a side-by-side with the computed ranks.
+    are all zero anyway).  Two families overcount: the d3 expressions once
+    several monomial families overlap, first at w = -6, m = 3 (9 against a
+    computed 6), and the d2n ones from w = -11 on, first at m = 5 (23
+    against 22).  Over w = -1 .. -14 the d2y, d1y and d1n expressions match
+    the computed ranks.  See rank_formula_check for a side-by-side.
     """
     s = -w - m
     if s < 0:
@@ -252,8 +254,9 @@ class RankFormulaReport:
 def rank_formula_check(spec, w, cap=None, name=None):
     """Compare computed boundary ranks against the closed-form predictions.
 
-    Purely diagnostic: the computed ranks are authoritative and the d3
-    closed forms are known to overcount on overlapping families.
+    Purely diagnostic: the computed ranks are authoritative, and the d3 and
+    d2n closed forms overcount, from w = -6 and w = -11 on (see
+    predicted_rank).
     """
     family = classify_3d(spec)
     ranks = betti_row(spec, w, cap=cap).ranks

@@ -22,13 +22,17 @@ class LieAlgebraSpec:
         self.name = name
         # exact rationals: int when integral, Fraction otherwise
         self._c: dict[tuple[int, int, int], int | Fraction] = {}
+        # every (i, j, k) given, with i < j, zero constants included
+        self._given: set[tuple[int, int, int]] = set()
         if constants:
             items = constants.items() if hasattr(constants, "items") else constants
             for (i, j, k), v in items:
-                v = Fraction(v)
-                self._set(i, j, k, v.numerator if v.denominator == 1 else v)
+                self._set(i, j, k, v)
 
-    def _set(self, i: int, j: int, k: int, v: int | Fraction) -> None:
+    def _set(self, i: int, j: int, k: int, v) -> None:
+        """Store c^k_ij = v (any rational), once per (i, j, k) in either order."""
+        v = Fraction(v)
+        v = v.numerator if v.denominator == 1 else v
         for idx in (i, j, k):
             if not 1 <= idx <= self.n:
                 raise ValueError(f"index {idx} outside 1..{self.n}")
@@ -36,8 +40,9 @@ class LieAlgebraSpec:
             raise ValueError(f"diagonal bracket [xi_{i}, xi_{i}] cannot carry a constant")
         if i > j:
             i, j, v = j, i, -v
-        if (i, j, k) in self._c:
+        if (i, j, k) in self._given:
             raise ValueError(f"duplicate structure constant for ({i}, {j}, {k})")
+        self._given.add((i, j, k))
         if v:
             self._c[(i, j, k)] = v
 
@@ -179,7 +184,7 @@ def catalog(name: str) -> LieAlgebraSpec:
 
 def parse_structure_constants(text: str, name: str = "file") -> LieAlgebraSpec:
     """Parse 'i j k p/q' lines ('#' starts a comment); n is the largest index."""
-    triples: list[tuple[int, int, int, Fraction]] = []
+    triples: list[tuple[int, int, int, int, Fraction]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -192,13 +197,16 @@ def parse_structure_constants(text: str, name: str = "file") -> LieAlgebraSpec:
             v = Fraction(parts[3])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        triples.append((i, j, k, v))
+        triples.append((lineno, i, j, k, v))
     if not triples:
         raise ValueError("no structure constants found")
-    n = max(max(i, j, k) for i, j, k, _ in triples)
-    # keep duplicates visible to the constructor (a dict would collapse them)
-    items = [((i, j, k), v) for i, j, k, v in triples]
-    return LieAlgebraSpec(n, items, name=name)
+    spec = LieAlgebraSpec(max(max(i, j, k) for _, i, j, k, _ in triples), name=name)
+    for lineno, i, j, k, v in triples:
+        try:
+            spec._set(i, j, k, v)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    return spec
 
 
 def load_structure_constants(path, name: str | None = None) -> LieAlgebraSpec:

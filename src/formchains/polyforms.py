@@ -123,12 +123,10 @@ def poly_interior(vec: PolyVector, omega: PolyForm) -> PolyForm:
     out: PolyForm = {}
     for (al, i), cv in vec.items():
         for (be, A), cf in omega.items():
-            for t, idx in enumerate(A):
-                if idx == i:
-                    gamma = tuple(x + y for x, y in zip(al, be, strict=True))
-                    add_term(out, (gamma, A[:t] + A[t + 1:]),
-                             cv * cf * _sign(t))
-                    break  # indices are distinct: at most one slot matches
+            if i in A:  # indices are distinct: at most one slot matches
+                t = A.index(i)
+                gamma = tuple(x + y for x, y in zip(al, be, strict=True))
+                add_term(out, (gamma, A[:t] + A[t + 1:]), cv * cf * _sign(t))
     return out
 
 

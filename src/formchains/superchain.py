@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, groupby
 from math import comb
 
 from .exactla import SparseRationalMatrix
@@ -114,7 +114,12 @@ def boundary_of_monomial(mono, grade_of, bracket) -> dict:
 
 @dataclass(frozen=True)
 class Level:
-    """All generators of one (grade, weight) slot, in token order."""
+    """All generators of one (grade, weight) slot.
+
+    A token may be listed once, in one level.  The order of the levels and
+    of their tokens fixes only the order in which a basis is listed; every
+    monomial in it is a canonical product.
+    """
     grade: int
     weight: tuple
     tokens: tuple
@@ -127,10 +132,6 @@ class Level:
 
 def _as_tuple(w):
     return w if isinstance(w, tuple) else (w,)
-
-
-def _grades(levels):
-    return {t: lv.grade for lv in levels for t in lv.tokens}
 
 
 class WeightedComplex:
@@ -153,7 +154,12 @@ class WeightedComplex:
 
     def __init__(self, levels, bracket, cap=None):
         self.levels = tuple(levels)
-        self.grades = _grades(self.levels)
+        self.grades = {}
+        for lv in self.levels:
+            for t in lv.tokens:
+                if t in self.grades:
+                    raise ValueError(f"token {t!r} is listed twice in the levels")
+                self.grades[t] = lv.grade
         self.grade_of = self.grades.__getitem__
         # canonical order: descending grade, then token
         self.tokens = tuple(sorted(self.grades, key=lambda t: (-self.grades[t], t)))
@@ -306,11 +312,11 @@ class WeightedComplex:
 
 
 def enumerate_monomials(levels, m, weight, cap=None):
-    """All degree-m monomials of the given total weight, in a fixed order.
+    """All degree-m monomials of the given total weight, each a canonical
+    product, in an order fixed by the order of the levels and their tokens.
 
-    levels must be sorted by descending grade (ties resolved consistently
-    with the token order); weight is an int or a tuple of ints.  The size is
-    counted first and checked against cap.
+    weight is an int or a tuple of ints.  The size is counted first and
+    checked against cap.
     """
     return WeightedComplex(levels, None, cap).basis(m, weight)
 
@@ -373,19 +379,11 @@ def format_monomial(mono, token_str=None) -> str:
         return "<empty>"
 
     def default_str(tok):
-        if tok == ():
-            return "1"
-        return "s" + "".join(str(i) for i in tok)
+        return "1" if tok == () else "s" + "".join(map(str, tok))
 
     token_str = token_str or default_str
     parts = []
-    run = None
-    count = 0
-    for t in mono + (object(),):
-        if t == run:
-            count += 1
-            continue
-        if run is not None:
-            parts.append(token_str(run) + (f"^{count}" if count > 1 else ""))
-        run, count = t, 1
+    for tok, run in groupby(mono):
+        count = len(list(run))
+        parts.append(token_str(tok) + (f"^{count}" if count > 1 else ""))
     return ".".join(parts)

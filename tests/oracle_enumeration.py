@@ -8,7 +8,7 @@ nothing; it is slow but independent of the completion count.
 
 from itertools import combinations, combinations_with_replacement
 
-from formchains.superchain import EnumerationCapExceeded, _as_tuple, _grades
+from formchains.superchain import EnumerationCapExceeded, _as_tuple
 
 
 def enumerate_monomials(levels, m, weight, cap=None):
@@ -34,7 +34,7 @@ def enumerate_monomials(levels, m, weight, cap=None):
             hi[idx][dcoord] = max(wv[dcoord], hi[idx + 1][dcoord]) if idx < nlev - 1 else wv[dcoord]
 
     out = []
-    grades = _grades(levels)
+    grades = {t: lv.grade for lv in levels for t in lv.tokens}
 
     def emit(chosen):
         if cap is not None and len(out) >= cap:

@@ -26,7 +26,6 @@ from formchains.polyforms import (
     monomial_vector,
     poly_bracket,
     poly_d,
-    poly_wedge,
 )
 from formchains.superchain import (
     chain_dim,
@@ -34,6 +33,7 @@ from formchains.superchain import (
     forms_complex,
 )
 
+import oracle_calculus
 from oracle_boundary import boundary_via_left_action
 
 CATALOG = ["so3", "sl2r", "d2(1)", "d2(-1)", "d1n", "d1y",
@@ -268,25 +268,6 @@ def _poly_tokens(n, hmax):
     return forms, vectors
 
 
-def _lie_direct(vec, omega):
-    # product rule: L_X(G dx^A) = X(G) dx^A + G sum_t dx..dF..dx over slots
-    out = {}
-    for (al, i), cv in vec.items():
-        for (be, A), cf in omega.items():
-            e = be[i - 1]
-            if e:
-                gamma = tuple(a + b for a, b in zip(al, be))
-                gamma = gamma[: i - 1] + (gamma[i - 1] - 1,) + gamma[i:]
-                add_into(out, {(gamma, A): cv * cf * e})
-            for t, idx in enumerate(A):
-                if idx == i:
-                    left = {(be, A[:t]): cv * cf}
-                    mid = poly_d({(al, ()): F(1)})
-                    right = {((0,) * len(al), A[t + 1:]): F(1)}
-                    add_into(out, poly_wedge(left, poly_wedge(mid, right)))
-    return out
-
-
 def test_polynomial_complex_element_identities():
     t0 = time.perf_counter()
     failures = []
@@ -313,7 +294,7 @@ def test_polynomial_complex_element_identities():
             vec = {vk: F(1)}
             for fk in forms:
                 form = {fk: F(1)}
-                if lie_derivative(vec, form) != _lie_direct(vec, form):
+                if lie_derivative(vec, form) != oracle_calculus.lie_direct(vec, form):
                     failures.append(("cartan", n, vk, fk))
     _finish("polynomial complexes: dd=0, weight additivity, Cartan",
             t0, failures)

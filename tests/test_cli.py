@@ -84,6 +84,13 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert main(["validate", "--algebra", str(path)]) == 2
 
 
+def test_validate_names_the_line_of_a_bad_constant(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("1 2 3 1\n0 1 2 1\n")
+    assert main(["validate", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: index 0 outside 1..3\n"
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "--algebra", "no/such/file.txt"]) == 2
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -17,6 +17,11 @@ from formchains.forms import (
 from formchains.liealg import catalog
 from formchains.polyforms import monomial_form, monomial_vector
 from formchains.superchain import forms_complex
+
+import oracle_calculus
+
+# every increasing index tuple over {1, .., 5}, the empty one included
+SUBSETS5 = [c for a in range(6) for c in combinations(range(1, 6), a)]
 
 # shorthand used throughout the weighted tables for n = 3:
 # w^{i+2} = sigma^i ^ sigma^{i+1} (indices mod 3), V = sigma^1^2^3
@@ -273,3 +278,19 @@ def test_interior_product():
     rhs = dict(wedge(interior(2, f), gform))
     forms.add_into(rhs, wedge(f, interior(2, gform)), 1)  # deg f even
     assert lhs == rhs
+
+
+def test_merge_matches_loop_oracle():
+    # all 1,024 ordered pairs, the (0, None) overlaps included
+    for a, b in product(SUBSETS5, repeat=2):
+        assert forms._merge(a, b) == oracle_calculus.merge(a, b), (a, b)
+
+
+def test_interior_anticommutes_with_wedge():
+    # i_i(sigma^i ^ f) + sigma^i ^ i_i(f) = f on every basis form of n = 5
+    for i in range(1, 6):
+        for subset in SUBSETS5:
+            f = basis_form(subset)
+            total = interior(i, wedge(sigma(i), f))
+            forms.add_into(total, wedge(sigma(i), interior(i, f)))
+            assert total == f, (i, subset)

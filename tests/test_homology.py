@@ -240,8 +240,8 @@ def test_predicted_ranks_match_computed_away_from_d3_overlap():
 
 
 def test_predicted_rank_d3_overcounts_on_overlap():
-    # the d3 binomial expressions ignore overlaps between monomial families:
-    # first failure at w = -10, m = 4 (predicted 9, true rank 6)
+    # the d3 binomial expressions ignore overlaps between monomial families;
+    # at w = -10 the first failure is m = 4 (predicted 9, true rank 6)
     cmp = dict((m, (got, want))
                for m, got, want in rank_formula_check(catalog("so3"), -10).rows)
     assert cmp[4] == (6, 9)
@@ -252,6 +252,20 @@ def test_predicted_rank_d3_overcounts_on_overlap():
     for w in (-3, -5):
         for m, got, want in rank_formula_check(catalog("so3"), w).rows:
             assert got == want, (w, m)
+
+
+def test_predicted_rank_first_mismatch_per_family():
+    # scanning w = -1 .. -14, (w, m, computed, predicted) of the first
+    # mismatch: d3 overcounts from (-6, 3), d2n from (-11, 5), and the other
+    # three families never do
+    first = {}
+    for family, name in REP.items():
+        for w in range(-1, -15, -1):
+            bad = rank_formula_check(catalog(name), w).mismatches
+            if bad:
+                first[family] = (w, *bad[0])
+                break
+    assert first == {"d3": (-6, 3, 6, 9), "d2n": (-11, 5, 22, 23)}
 
 
 def test_predicted_rank_rejects_unknown_family():

@@ -1,5 +1,6 @@
-"""Every name a module, demo, test or test oracle imports is used in it, and
-every module-level def or class in the package is exported or read somewhere.
+"""Every name a module, demo, test or test oracle imports is used in it,
+every module-level def or class in the package is exported or read somewhere,
+and every one in a test oracle is read by the tests.
 
 A standard-library stand-in for a linter's unused-import and dead-code rules.
 The package __init__ is skipped as a source of imports and definitions: its
@@ -17,7 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "formchains").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SOURCES = MODULES + DEMOS + sorted((ROOT / "tests").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+ORACLES = [p for p in TESTS if p.name.startswith("oracle_")]
+SOURCES = MODULES + DEMOS + TESTS
 
 
 def unused_imports(source):
@@ -84,3 +87,13 @@ def test_no_dead_definitions():
     defining = {p.stem: p.read_text() for p in MODULES}
     readers = [p.read_text() for p in PACKAGE + DEMOS]
     assert dead_definitions(defining, readers, set(formchains.__all__)) == []
+
+
+def test_oracles_are_found():
+    assert ORACLES
+
+
+def test_no_stale_oracles():
+    # an oracle helper may be read by another def of its own file
+    defining = {p.stem: p.read_text() for p in ORACLES}
+    assert dead_definitions(defining, [p.read_text() for p in TESTS], set()) == []

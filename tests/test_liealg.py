@@ -120,6 +120,28 @@ def test_parse_rejects_malformed_input():
         parse_structure_constants("1 2 3 1\n2 1 3 -1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 2 3 1\n0 1 2 1\n", "line 2: index 0 outside 1..3"),
+    ("1 2 3 1\n2 2 1 1\n",
+     "line 2: diagonal bracket [xi_2, xi_2] cannot carry a constant"),
+    # a repeat is a duplicate whatever the values and their order
+    ("1 2 3 0\n1 2 3 5\n", "line 2: duplicate structure constant for (1, 2, 3)"),
+    ("1 2 3 5\n1 2 3 0\n", "line 2: duplicate structure constant for (1, 2, 3)"),
+    ("\n1 2 3 1\n# c\n2 1 3 -1\n",
+     "line 4: duplicate structure constant for (1, 2, 3)"),
+], ids=["index", "diagonal", "duplicate-zero-first", "duplicate-zero-last",
+        "duplicate-swapped"])
+def test_constant_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_structure_constants(text)
+    assert str(exc.value) == message
+
+
+def test_constructor_counts_a_zero_constant_as_given():
+    with pytest.raises(ValueError, match=r"^duplicate structure constant for \(1, 2, 3\)$"):
+        LieAlgebraSpec(3, [((1, 2, 3), 0), ((2, 1, 3), 5)])
+
+
 def test_parse_is_the_validate_example():
     # the two-line file used to demonstrate a Jacobi failure end to end
     g = parse_structure_constants("1 2 1 1\n1 3 2 1\n")

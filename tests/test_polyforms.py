@@ -1,10 +1,8 @@
 """Polynomial forms and vector fields: bracket laws and doubly weighted Betti.
 
 The Lie derivative inside poly_bracket runs through Cartan's formula
-i_X d + d i_X; the oracle here evaluates L_X directly by the product rule
-(L_X(G dx^A) = X(G) dx^A + G sum over slots of dx^A with dx_i replaced by
-dF when X = F d/dx_i), so the two sides share no code path beyond d and
-the wedge.
+i_X d + d i_X; oracle_calculus.lie_direct evaluates L_X directly by the
+product rule, so the two sides share no code path beyond d and the wedge.
 """
 
 import inspect
@@ -49,6 +47,8 @@ from formchains.superchain import (
     boundary_of_monomial,
     chain_dim,
 )
+
+import oracle_calculus
 
 F = Fraction
 
@@ -189,26 +189,6 @@ def test_mixed_element_rejected():
 
 # --- the Lie derivative against direct evaluation -------------------------------
 
-def _lie_direct(vec, omega):
-    # L_X(G dx^A) = X(G) dx^A + G sum_t dx^{A[:t]} ^ dF ^ dx^{A[t+1:]}
-    # over slots with A[t] = i, for X = F d/dx_i = x^al d/dx_i
-    out = {}
-    for (al, i), cv in vec.items():
-        for (be, A), cf in omega.items():
-            e = be[i - 1]
-            if e:
-                gamma = tuple(a + b for a, b in zip(al, be))
-                gamma = gamma[: i - 1] + (gamma[i - 1] - 1,) + gamma[i:]
-                add_into(out, {(gamma, A): cv * cf * e})
-            for t, idx in enumerate(A):
-                if idx == i:
-                    left = {(be, A[:t]): cv * cf}
-                    mid = poly_d({(al, ()): F(1)})
-                    right = {((0,) * len(al), A[t + 1:]): F(1)}
-                    add_into(out, poly_wedge(left, poly_wedge(mid, right)))
-    return out
-
-
 def _form_tokens(n, hmax):
     from itertools import combinations
 
@@ -236,7 +216,7 @@ def test_cartan_matches_direct_evaluation():
             for fk in _form_tokens(n, hmax):
                 vec = {vk: F(1)}
                 form = {fk: F(1)}
-                assert lie_derivative(vec, form) == _lie_direct(vec, form), (
+                assert lie_derivative(vec, form) == oracle_calculus.lie_direct(vec, form), (
                     vk,
                     fk,
                 )

@@ -216,6 +216,19 @@ def test_weight_arity_must_match_the_levels(levels, weight):
         enumerate_monomials(levels, 2, weight)
 
 
+@pytest.mark.parametrize("levels, token", [
+    # once this counted ("e", "e") three times, for Betti (0, 3) at w = -2
+    ([Level(-1, -1, ("e", "e"))], "'e'"),
+    # once the last level silently won, giving "a" the grade -1
+    ([Level(-2, -2, ("a",)), Level(-1, -1, ("a",))], "'a'"),
+], ids=["one-level", "two-levels"])
+def test_a_token_listed_twice_is_rejected(levels, token):
+    with pytest.raises(ValueError, match=f"^token {token} is listed twice"):
+        WeightedComplex(levels, None)
+    with pytest.raises(ValueError, match=f"^token {token} is listed twice"):
+        enumerate_monomials(levels, 2, -2)
+
+
 def test_custom_level_enumeration_double_weight():
     # two-coordinate weights: a toy doubly-graded basis
     levels = [
@@ -464,3 +477,5 @@ def test_token_system_brackets_each_pair_once():
 def test_format_monomial():
     assert format_monomial((E, E, Z2, V3)) == "1^2.s2.s123"
     assert format_monomial(()) == "<empty>"
+    # a run is adjacent equal factors, rendered by token_str
+    assert format_monomial((E, E, E, Z2, E), token_str=repr) == "()^3.(2,).()"
