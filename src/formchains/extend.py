@@ -17,6 +17,7 @@ of vector factors and dies above m = -w + n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .forms import add_into, ext_d, interior, super_bracket
 from .homology import complex_homology
@@ -64,14 +65,12 @@ def extended_betti(spec, w, cap=None):
 
 
 def k_split_dims(spec, w, cap=None):
-    """Per degree m, how C_m^w splits by the number k of vector factors."""
-    cx = extended_complex(spec, cap=cap)
+    """Per degree m, C_m^w split by the number k of vectors: C(n, k) dim C_{m-k}^w."""
+    cx, forms = extended_complex(spec, cap=cap), WeightedComplex(form_levels(spec.n), None)
     out = []
     for m in range(1, -w + spec.n + 1):
-        counts = [0] * (spec.n + 1)
-        for mono in cx.basis(m, w):
-            counts[sum(1 for t in mono if t[0] == "v")] += 1
-        out.append(tuple(counts))
+        cx.dim(m, w)  # the cap applies to the whole C_m^w
+        out.append(tuple(comb(spec.n, k) * forms.dim(m - k, w) for k in range(spec.n + 1)))
     return out
 
 

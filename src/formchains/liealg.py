@@ -183,7 +183,7 @@ def catalog(name: str) -> LieAlgebraSpec:
 # --- text format ------------------------------------------------------------
 
 def parse_structure_constants(text: str, name: str = "file") -> LieAlgebraSpec:
-    """Parse 'i j k p/q' lines ('#' starts a comment); n is the largest index."""
+    """Parse 'i j k p/q' lines ('#' starts a comment); n is the largest index, at least 1."""
     triples: list[tuple[int, int, int, int, Fraction]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -200,7 +200,7 @@ def parse_structure_constants(text: str, name: str = "file") -> LieAlgebraSpec:
         triples.append((lineno, i, j, k, v))
     if not triples:
         raise ValueError("no structure constants found")
-    spec = LieAlgebraSpec(max(max(i, j, k) for _, i, j, k, _ in triples), name=name)
+    spec = LieAlgebraSpec(max(1, *(max(i, j, k) for _, i, j, k, _ in triples)), name=name)
     for lineno, i, j, k, v in triples:
         try:
             spec._set(i, j, k, v)

@@ -224,33 +224,36 @@ def poly_levels(n: int, m_top: int, h: int, include_vectors=False):
 def double_weight_complex(n: int, h: int, m_top: int,
                           include_vectors=False, cap=None) -> WeightedComplex:
     """The chain complex over all doubly homogeneous generators."""
-    levels = poly_levels(n, m_top, h, include_vectors)
-    return WeightedComplex(levels, lambda ta, tb: poly_bracket(
-        {ta: 1}, {tb: 1}), cap)
+    return WeightedComplex(poly_levels(n, m_top, h, include_vectors),
+                           lambda ta, tb: poly_bracket({ta: 1}, {tb: 1}), cap)
 
 
 def double_weight_basis(m: int, w: int, h: int, n: int,
                         include_vectors=False, cap=None):
     """All degree-m monomials of primary weight w and secondary weight h."""
-    levels = poly_levels(n, m, h, include_vectors)
-    return enumerate_monomials(levels, m, (w, h), cap=cap)
+    return enumerate_monomials(poly_levels(n, m, h, include_vectors), m, (w, h), cap=cap)
 
 
 def support_top(w: int, h: int, n: int, include_vectors=False) -> int:
-    """A degree above which C_m^{w,h} is guaranteed to vanish.
+    """The top degree: the largest m >= 1 with C_m^{w,h} != 0, else 0.
 
-    Form factors have primary weight <= -1, so at most -w of them.  Vector
-    factors never repeat: at most n of secondary weight -1, at most n^2 of
-    secondary weight 0, and the secondary budget h caps the rest.
+    At most -w forms, of secondary weight >= -1: -w - 1 constants and one
+    x^alpha reach it when h >= w.  Vectors never repeat (grade 0) and share
+    at most h - w: add the most whose lightest weights (n of -1, n^2 of 0,
+    n C(n + s, n - 1) of each s >= 1) sum to <= h - w.  The slack goes into
+    the x^alpha, or at w = 0 into a heavier vector swapped in.
     """
-    forms_top = -w
-    if not include_vectors:
-        return max(forms_top, 0)
-    return max(forms_top + (h + forms_top + n) + n + n * n, 0)
+    if not include_vectors or w > 0 or n < 1:  # poly_levels rejects n < 1
+        return -w if w < 0 and h >= w else 0
+    budget, total, vectors, s = h - w, -n, n + n * n, 1
+    while budget - total >= s:
+        fit = min(n * len(exponent_tuples(n, s + 1)), (budget - total) // s)
+        vectors, total, s = vectors + fit, total + fit * s, s + 1
+    return -w + vectors if budget >= -n else 0
 
 
 def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None):
-    """Homology report of C_*^{w,h}; degrees trimmed to the support."""
+    """Homology report of C_*^{w,h}, degrees 1 .. support_top."""
     if include_vectors:
         if w > 0:
             raise ValueError("primary weight must be nonpositive")
@@ -258,8 +261,6 @@ def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None)
         raise ValueError("primary weight must be negative")
     m_top = support_top(w, h, n, include_vectors)
     cx = double_weight_complex(n, h, m_top + 1, include_vectors, cap=cap)
-    while m_top > 0 and cx.dim(m_top, (w, h)) == 0:
-        m_top -= 1
     label = f"poly{n}" + ("+T" if include_vectors else "")
     if not include_vectors or h == w:
         return complex_homology(cx, (w, h), m_top, label)
@@ -269,15 +270,15 @@ def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None)
 def _acyclic_homology(cx, n, w, m_top, name):
     """complex_homology of a vector-field complex with h != w, from counts.
 
-    The Euler field E makes it acyclic (see the module docstring), so with
-    r_{m_top+1} = 0, rank bd_m = dim C_m - rank bd_{m+1}, and every Betti
-    number is 0.  E must act on each token by its secondary minus its
-    primary weight, which makes ad(E) = (h - w) id on C_m^{w,h}; that is
-    checked before any rank is derived.
+    The dims are counted upward, so a cap names the lowest degree over it,
+    and C_{m_top+1} must vanish.  The Euler field E makes the complex acyclic
+    (see the module docstring): rank bd_m = dim C_m - rank bd_{m+1}, and every
+    Betti number is 0.  E must act on each token by its secondary minus its
+    primary weight, so that ad(E) = (h - w) id; checked before any rank.
     """
-    if cx.dim(m_top + 1, w):
+    dims = [cx.dim(m, w) for m in range(m_top + 2)]
+    if dims.pop():
         raise ValueError(f"complex does not vanish above m = {m_top}")
-    dims = [cx.dim(m, w) for m in range(m_top + 1)]
     # always on, also under python -O: ad(E) must scale each token as claimed
     euler = [(tuple(int(j == i) for j in range(n)), i + 1) for i in range(n)]
     for lv in cx.levels:

@@ -1,7 +1,8 @@
 """The basis walker that formchains used before it counted first, kept as a
-test oracle for the count-guided walk in superchain.
+test oracle for the count-guided walk in superchain, and the upper bound on
+the top degree of a polynomial complex that came before the exact one.
 
-It prunes with per-coordinate min/max weight bounds only, so on the
+The walker prunes with per-coordinate min/max weight bounds only, so on the
 vector-field levels it spends most of its time in branches that emit
 nothing; it is slow but independent of the completion count.
 """
@@ -72,3 +73,16 @@ def enumerate_monomials(levels, m, weight, cap=None):
 
     rec(0, m, target, ())
     return out
+
+
+def support_bound(w, h, n, include_vectors=False):
+    """A degree above which C_m^{w,h} is guaranteed to vanish.
+
+    Form factors have primary weight <= -1, so at most -w of them.  Vector
+    factors never repeat: at most n of secondary weight -1, at most n^2 of
+    secondary weight 0, and the secondary budget h caps the rest.
+    """
+    forms_top = -w
+    if not include_vectors:
+        return max(forms_top, 0)
+    return max(forms_top + (h + forms_top + n) + n + n * n, 0)

@@ -91,6 +91,13 @@ def test_validate_names_the_line_of_a_bad_constant(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: index 0 outside 1..3\n"
 
 
+def test_validate_names_the_line_when_no_index_is_positive(tmp_path, capsys):
+    path = tmp_path / "zero.txt"
+    path.write_text("0 0 0 1\n")
+    assert main(["validate", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1: index 0 outside 1..1\n"
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "--algebra", "no/such/file.txt"]) == 2
 
@@ -337,7 +344,11 @@ def test_cap_env_override(monkeypatch, capsys):
      "484 monomials at degree 3, weight (-1, 40), more than the cap 100"),
     (["--n", "2", "--h", "3", "--cap", "50"],
      "112 monomials at degree 2, weight (-1, 3), more than the cap 50"),
-], ids=["n1-h40", "n2-h3"])
+    (["--n", "1", "--h", "80", "--cap", "100"],
+     "1764 monomials at degree 3, weight (-1, 80), more than the cap 100"),
+    (["--n", "1", "--h", "300", "--cap", "100"],
+     "303 monomials at degree 2, weight (-1, 300), more than the cap 100"),
+], ids=["n1-h40", "n2-h3", "n1-h80", "n1-h300"])
 def test_polyweight_cap_fails_fast_with_the_exact_size(argv, message):
     # the cap is checked against a count, so a huge support exits at once
     src = os.path.dirname(os.path.dirname(cli.__file__))

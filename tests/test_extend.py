@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,12 @@ from formchains.extend import (
 )
 from formchains.homology import betti_row, complex_homology
 from formchains.liealg import catalog
-from formchains.superchain import WeightedComplex, chain_dim, forms_complex
+from formchains.superchain import (
+    EnumerationCapExceeded,
+    WeightedComplex,
+    chain_dim,
+    forms_complex,
+)
 
 CATALOG = ["so3", "sl2r", "d2(1)", "d2(-1)", "d1n", "d1y",
            "abelian(3)", "dim2", "abelian(2)"]
@@ -191,6 +197,13 @@ def test_k_split_dims():
     cx = extended_complex(g)
     assert total == [cx.dim(m, -2) for m in (1, 2, 3, 4)]
     assert rows[3][2] == chain_dim(g, 2, -2)  # k=2 column
+
+
+def test_k_split_dims_caps_the_whole_space():
+    # degree 3 is the first whose C_m^w, over every k, is larger than 5
+    message = "6 monomials at degree 3, weight -10, more than the cap 5"
+    with pytest.raises(EnumerationCapExceeded, match=rf"^{re.escape(message)}$"):
+        k_split_dims(catalog("so3"), -10, cap=5)
 
 
 # --- extended homology -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every name a module, demo, test or test oracle imports is used in it,
 every module-level def or class in the package is exported or read somewhere,
-and every one in a test oracle is read by the tests.
+every one in a test oracle is read by the tests, and the package holds no
+assert statement, which python -O would strip from its run-time checks.
 
 A standard-library stand-in for a linter's unused-import and dead-code rules.
 The package __init__ is skipped as a source of imports and definitions: its
@@ -97,3 +98,21 @@ def test_no_stale_oracles():
     # an oracle helper may be read by another def of its own file
     defining = {p.stem: p.read_text() for p in ORACLES}
     assert dead_definitions(defining, [p.read_text() for p in TESTS], set()) == []
+
+
+def assert_lines(source):
+    """The line of each assert statement in a source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_statements_are_caught():
+    src = ("def f(x):\n    assert x, 'no'\n"
+           "    if x:\n        assert x > 1\n"
+           "    raise AssertionError('kept')\n")
+    assert assert_lines(src) == [2, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_assert_in_the_package(path):
+    assert assert_lines(path.read_text()) == []

@@ -122,6 +122,9 @@ def test_parse_rejects_malformed_input():
 
 @pytest.mark.parametrize("text, message", [
     ("1 2 3 1\n0 1 2 1\n", "line 2: index 0 outside 1..3"),
+    # n is at least 1 even when no index is
+    ("0 0 0 1\n", "line 1: index 0 outside 1..1"),
+    ("# c\n\n-1 0 -2 3\n", "line 3: index -1 outside 1..1"),
     ("1 2 3 1\n2 2 1 1\n",
      "line 2: diagonal bracket [xi_2, xi_2] cannot carry a constant"),
     # a repeat is a duplicate whatever the values and their order
@@ -129,8 +132,8 @@ def test_parse_rejects_malformed_input():
     ("1 2 3 5\n1 2 3 0\n", "line 2: duplicate structure constant for (1, 2, 3)"),
     ("\n1 2 3 1\n# c\n2 1 3 -1\n",
      "line 4: duplicate structure constant for (1, 2, 3)"),
-], ids=["index", "diagonal", "duplicate-zero-first", "duplicate-zero-last",
-        "duplicate-swapped"])
+], ids=["index", "no-positive-index", "negative-index", "diagonal",
+        "duplicate-zero-first", "duplicate-zero-last", "duplicate-swapped"])
 def test_constant_errors_name_their_line(text, message):
     with pytest.raises(ValueError) as exc:
         parse_structure_constants(text)

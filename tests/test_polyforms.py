@@ -7,6 +7,7 @@ product rule, so the two sides share no code path beyond d and the wedge.
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -49,6 +50,7 @@ from formchains.superchain import (
 )
 
 import oracle_calculus
+import oracle_enumeration
 
 F = Fraction
 
@@ -340,6 +342,40 @@ def test_support_top_is_sharp_enough():
         assert cx.dim(top + 1, (w, h)) == 0, (n, w, h)
 
 
+# the n = 1, 2, 3 grids on which support_top is checked against every count
+TOP_GRIDS = {
+    1: [(w, h) for w in range(-4, 1) for h in range(-5, 9)],
+    2: [(w, h) for w in range(-3, 1) for h in range(-4, 4)],
+    3: [(w, h) for w in range(-1, 1) for h in range(-3, 2)],
+}
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["forms", "vectors"])
+@pytest.mark.parametrize("n", sorted(TOP_GRIDS))
+def test_support_top_is_the_last_nonzero_degree(n, vectors):
+    # every degree up to the superseded bound is counted
+    for w, h in TOP_GRIDS[n]:
+        bound = oracle_enumeration.support_bound(w, h, n, vectors)
+        cx = double_weight_complex(n, h, bound + 1, vectors)
+        live = [m for m in range(1, bound + 2) if cx.dim(m, (w, h))]
+        assert support_top(w, h, n, vectors) == max(live, default=0), (w, h)
+
+
+def test_dims_up_to_the_exact_top():
+    # the superseded bound put the top at 45, and the degrees down to 11 were
+    # proved empty one count at a time
+    rep = double_weight_betti(-1, 40, 1, include_vectors=True)
+    assert rep.dims == (1, 43, 484, 2443, 6754, 11178, 11447, 7194, 2624, 482, 30)
+    assert set(rep.betti) == {0}
+
+
+def test_cap_names_the_lowest_degree_over_it():
+    # 127 monomials at the top degree 4 are over the cap too
+    message = "102 monomials at degree 2, weight (-4, 2), more than the cap 20"
+    with pytest.raises(EnumerationCapExceeded, match=rf"^{re.escape(message)}$"):
+        double_weight_betti(-4, 2, 2, cap=20)
+
+
 # --- boundary and homology -------------------------------------------------------
 
 def test_boundary_squares_to_zero_n1():
@@ -544,6 +580,13 @@ def test_acyclic_shortcut_checks_raise_under_python_O():
     assert lines[2].startswith(
         "ArithmeticError poly1+T at weight (-2, 0): no acyclic ranks fit the dims")
     assert lines[3] == "ValueError complex does not vanish above m = 2"
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("vectors", [False, True], ids=["forms", "vectors"])
+def test_no_variables_is_rejected(n, vectors):
+    with pytest.raises(ValueError, match=rf"^need n >= 1 variables, got n = {n}$"):
+        double_weight_betti(-1, 5, n, include_vectors=vectors)
 
 
 def test_weight_validation():
