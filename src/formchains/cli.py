@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 
 from .extend import check_system_jacobi, extended_betti
 from .homology import (
@@ -270,6 +270,7 @@ def cmd_goldens(args) -> int:
 
 # --- argument parsing ----------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formchains",

@@ -1,11 +1,12 @@
 """Exact linear algebra over Q for sparse boundary matrices.
 
-Matrices hold exact rationals: int when integral, Fraction otherwise.  rank
-brings the columns to echelon form one at a time, each new column reduced
-against the pivot columns kept so far, with no pivot search.  It works on
-integer columns, fraction free: each column is scaled once to integers, every
-step multiplies it by a nonzero integer before subtracting a pivot multiple,
-and kept pivots are primitive (the gcd of their entries is 1).  No floating
+Matrices hold exact rationals: int when integral, Fraction otherwise, stored
+by column, the way boundaries are built and eliminated.  rank brings the
+columns to echelon form one at a time, each new column reduced against the
+pivot columns kept so far, with no pivot search.  It works on integer
+columns, fraction free: each column is scaled once to integers, every step
+multiplies it by a nonzero integer before subtracting a pivot multiple, and
+kept pivots are primitive (the gcd of their entries is 1).  No floating
 point or modular arithmetic is used, so ranks and kernel dimensions are exact
 over Q.
 """
@@ -17,61 +18,64 @@ from math import gcd, lcm
 
 
 class SparseRationalMatrix:
-    """An nrows x ncols matrix over Q stored as {(row, col): value}, each value
-    an exact rational: int when integral, Fraction otherwise."""
+    """An nrows x ncols matrix over Q stored as cols, one {row: value} dict
+    per column, each value an exact rational: int when integral, Fraction
+    otherwise.  entries is a {(row, col): value} view, built when read."""
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], int | Fraction] = {}
+        self.cols: list[dict[int, int | Fraction]] = [{} for _ in range(ncols)]
         if entries:
             items = entries.items() if hasattr(entries, "items") else entries
             for (r, c), v in items:
                 self.add(r, c, v)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int | Fraction]:
+        return {(r, c): v for c, col in enumerate(self.cols) for r, v in col.items()}
 
     def add(self, r: int, c: int, v) -> None:
         """Accumulate v into entry (r, c), dropping exact zeros; an int or
         Fraction v is kept as it is, any other v is read as Fraction(v)."""
         w = self[r, c] + (v if isinstance(v, (int, Fraction)) else Fraction(v))
         if w:
-            self.entries[(r, c)] = w
+            self.cols[c][r] = w
         else:
-            self.entries.pop((r, c), None)
+            self.cols[c].pop(r, None)
 
     def __getitem__(self, rc) -> int | Fraction:
         r, c = rc
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise IndexError(f"entry ({r}, {c}) outside {self.nrows}x{self.ncols}")
-        return self.entries.get(rc, 0)
+        return self.cols[c].get(r, 0)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseRationalMatrix)
             and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self.cols == other.cols
         )
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.cols)
 
     def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        # column index of self == row index of other
-        by_row: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
+        # column c of the product: the sum over k of other[k, c] * column k of self
         out = SparseRationalMatrix(self.nrows, other.ncols)
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                out.add(r, c, v * w)
+        for c, col in enumerate(other.cols):
+            for k, w in col.items():
+                for r, v in self.cols[k].items():
+                    out.add(r, c, v * w)
         return out
 
     def __repr__(self) -> str:
-        return f"SparseRationalMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
+        nnz = sum(map(len, self.cols))
+        return f"SparseRationalMatrix({self.nrows}x{self.ncols}, {nnz} entries)"
 
 
 def rank(mat: SparseRationalMatrix) -> int:
@@ -88,15 +92,10 @@ def rank(mat: SparseRationalMatrix) -> int:
     the kept pivots, which are independent because their lowest rows
     differ: the rank is the pivot count.
     """
-    cols: dict[int, dict] = {}  # int or Fraction entries until the column's turn
-    for (r, c), v in mat.entries.items():
-        cols.setdefault(c, {})[r] = v
     pivots: dict[int, dict[int, int]] = {}  # lowest row -> primitive pivot column
-    for c in sorted(cols):
-        col = cols[c]
-        scale = lcm(*(v.denominator for v in col.values()))
-        for r, v in col.items():
-            col[r] = v.numerator * (scale // v.denominator)
+    for given in mat.cols:
+        scale = lcm(*(v.denominator for v in given.values()))
+        col = {r: v.numerator * (scale // v.denominator) for r, v in given.items()}
         while col:
             low = min(col)
             pivot = pivots.get(low)

@@ -187,6 +187,8 @@ def poly_bracket(x, y):
 
 def exponent_tuples(n: int, total: int):
     """All alpha in N^n with |alpha| = total, lexicographically."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 variables, got n = {n}")
     if total < 0:
         return []
     if n == 1:
@@ -211,11 +213,8 @@ def poly_levels(n: int, m_top: int, h: int, include_vectors=False):
     levels = []
     for grade, tails in slots:
         for s in range(-1, smax + 1):
-            tokens = tuple(sorted(
-                (alpha, tail)
-                for alpha in exponent_tuples(n, s + 1)
-                for tail in tails
-            ))
+            tokens = tuple((alpha, tail)
+                           for alpha in exponent_tuples(n, s + 1) for tail in tails)
             if tokens:
                 levels.append(Level(grade, (grade, s), tokens))
     return levels
@@ -243,7 +242,7 @@ def support_top(w: int, h: int, n: int, include_vectors=False) -> int:
     n C(n + s, n - 1) of each s >= 1) sum to <= h - w.  The slack goes into
     the x^alpha, or at w = 0 into a heavier vector swapped in.
     """
-    if not include_vectors or w > 0 or n < 1:  # poly_levels rejects n < 1
+    if not include_vectors or w > 0:
         return -w if w < 0 and h >= w else 0
     budget, total, vectors, s = h - w, -n, n + n * n, 1
     while budget - total >= s:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement, groupby
 from math import comb
 
@@ -174,15 +175,8 @@ class WeightedComplex:
         self._box = [tuple(zip(mins, maxs)) for mins, maxs in zip(lo, hi)]
         self._counts: dict = {}
         self.cap = cap
-        self._compute = bracket
-        self._brackets: dict = {}
+        self.bracket = bracket and cache(bracket)
         self._basis_cache: dict = {}
-
-    def bracket(self, a, b):
-        out = self._brackets.get((a, b))
-        if out is None:
-            out = self._brackets[(a, b)] = self._compute(a, b)
-        return out
 
     def _known(self, state):
         """N(idx, k, w) of a state if a zero test or the memo gives it, else None."""
@@ -305,7 +299,7 @@ class WeightedComplex:
             for tgt, cf in image(mono, self.grade_of, self.bracket).items():
                 if tgt not in index:
                     raise AssertionError(
-                        f"boundary left the weight-{w} space: {mono} -> {tgt}"
+                        f"boundary left the space of weight {w}: {mono} -> {tgt}"
                     )
                 mat.add(index[tgt], c, cf)
         return mat

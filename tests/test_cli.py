@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism, golden diffs."""
 
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -105,6 +107,22 @@ def test_validate_missing_file(capsys):
 def test_kappa_needs_d2(capsys):
     assert main(["validate", "--algebra", "so3", "--kappa", "2"]) == 2
     assert "--kappa" in capsys.readouterr().err
+
+
+def test_main_leaves_no_parser_to_collect(capsys):
+    # a parser built per call is a reference cycle that only a full
+    # collection frees, so peak memory would follow the collector's phase
+    assert main(["validate", "--algebra", "so3"]) == 0
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["validate", "--algebra", "so3"]) == 0
+        gc.collect()
+        assert not [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 # --- betti ----------------------------------------------------------------------

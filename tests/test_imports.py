@@ -1,7 +1,8 @@
 """Every name a module, demo, test or test oracle imports is used in it,
 every module-level def or class in the package is exported or read somewhere,
-every one in a test oracle is read by the tests, and the package holds no
-assert statement, which python -O would strip from its run-time checks.
+every one in a test oracle is read by the tests, the package holds no
+assert statement, which python -O would strip from its run-time checks, and
+only exactla reads a matrix's storage.
 
 A standard-library stand-in for a linter's unused-import and dead-code rules.
 The package __init__ is skipped as a source of imports and definitions: its
@@ -116,3 +117,22 @@ def test_assert_statements_are_caught():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_assert_in_the_package(path):
     assert assert_lines(path.read_text()) == []
+
+
+def layout_reads(source):
+    """The line of each read of a matrix's storage: a .cols or .entries load."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in ("cols", "entries")]
+
+
+def test_layout_reads_are_caught():
+    src = ("def f(m, out):\n    n = len(m.entries)\n"
+           "    out.cols = m.cols[0]\n    return m.ncols, n\n")
+    assert layout_reads(src) == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "exactla.py"],
+                         ids=lambda p: p.name)
+def test_matrix_layout_stays_in_exactla(path):
+    assert layout_reads(path.read_text()) == []

@@ -79,6 +79,12 @@ def test_exponent_tuples():
     assert exponent_tuples(2, -1) == []
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_exponent_tuples_need_a_variable(n):
+    with pytest.raises(ValueError, match=rf"^need n >= 1 variables, got n = {n}$"):
+        exponent_tuples(n, 1)
+
+
 # --- exterior derivative --------------------------------------------------------
 
 def test_d_of_coordinate():

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -457,6 +458,15 @@ def test_boundary_matrix_shapes():
     mat1 = cx.boundary_matrix(1, -4)
     assert (mat1.nrows, mat1.ncols) == (0, 1)
     assert mat1.is_zero()
+
+
+def test_boundary_outside_the_weight_space_is_rejected():
+    # [a, a] = a is not homogeneous: bd(a^2) lands at weight -1, not -2
+    levels = [Level(-1, (-1,), ("a",)), Level(-2, (-2,), ("b",))]
+    cx = WeightedComplex(levels, lambda x, y: {"a": 1} if x == y == "a" else {})
+    with pytest.raises(AssertionError, match=re.escape(
+            "boundary left the space of weight -2: ('a', 'a') -> ('a',)")):
+        cx.boundary_matrix(2, -2)
 
 
 def test_token_system_brackets_each_pair_once():
