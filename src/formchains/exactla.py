@@ -2,13 +2,14 @@
 
 Matrices hold exact rationals: int when integral, Fraction otherwise, stored
 by column, the way boundaries are built and eliminated.  rank brings the
-columns to echelon form one at a time, each new column reduced against the
-pivot columns kept so far, with no pivot search.  It works on integer
-columns, fraction free: each column is scaled once to integers, every step
-multiplies it by a nonzero integer before subtracting a pivot multiple, and
-kept pivots are primitive (the gcd of their entries is 1).  No floating
-point or modular arithmetic is used, so ranks and kernel dimensions are exact
-over Q.
+columns to echelon form sparsest first, ties in index order, each new column
+reduced against the pivot columns kept so far, with no pivot search: a
+sparse pivot kept early carries little fill into the columns reduced against
+it (Markowitz 1957).  It works on integer columns, fraction free: each
+column is brought once to integers, every step multiplies it by a nonzero
+integer before subtracting a pivot multiple, and kept pivots are primitive
+(the gcd of their entries is 1).  No floating point or modular arithmetic
+is used, so ranks and kernel dimensions are exact over Q.
 """
 
 from __future__ import annotations
@@ -79,23 +80,28 @@ class SparseRationalMatrix:
 
 
 def rank(mat: SparseRationalMatrix) -> int:
-    """Exact rank over Q: column echelon by insertion, columns in index order.
+    """Exact rank over Q: column echelon by insertion, sparsest column first.
 
-    Each column is scaled once to integers by the lcm of its denominators,
-    then reduced at its lowest live row (the smallest row index with a
-    nonzero entry) by the kept pivot column whose lowest row that is, until
-    it is zero or its lowest row has no pivot yet; then it is divided by the
-    gcd of its entries and kept as that row's pivot.  A step is fraction
-    free: with a = col[low] and b = pivot[low] divided by their gcd, col
-    becomes b*col - a*pivot, a nonzero multiple of col plus a multiple of a
-    pivot.  So a column reduces to zero exactly when it is a combination of
-    the kept pivots, which are independent because their lowest rows
-    differ: the rank is the pivot count.
+    Columns go by nonzero count, ties in index order (the order changes the
+    fill, not the rank); mat is not changed.  A column of int entries is
+    copied as it is, any other scaled once to integers by the lcm of its
+    denominators.  The column is then reduced at its lowest live row (the
+    smallest row index with a nonzero entry) by the kept pivot column whose
+    lowest row that is, until it is zero or its lowest row has no pivot yet;
+    then it is divided by the gcd of its entries and kept as that row's
+    pivot.  A step is fraction free: with a = col[low] and b = pivot[low]
+    divided by their gcd, col becomes b*col - a*pivot, a nonzero multiple of
+    col plus a multiple of a pivot.  So a column reduces to zero exactly when
+    it is a combination of the kept pivots, which are independent because
+    their lowest rows differ: the rank is the pivot count.
     """
     pivots: dict[int, dict[int, int]] = {}  # lowest row -> primitive pivot column
-    for given in mat.cols:
-        scale = lcm(*(v.denominator for v in given.values()))
-        col = {r: v.numerator * (scale // v.denominator) for r, v in given.items()}
+    for given in sorted(mat.cols, key=len):
+        if all(type(v) is int for v in given.values()):
+            col = dict(given)
+        else:
+            scale = lcm(*(v.denominator for v in given.values()))
+            col = {r: v.numerator * (scale // v.denominator) for r, v in given.items()}
         while col:
             low = min(col)
             pivot = pivots.get(low)

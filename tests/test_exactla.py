@@ -283,3 +283,43 @@ def test_getitem_checks_the_index_like_add():
             m[(r, c)]
         with pytest.raises(IndexError, match=rf"entry \({r}, {c}\) outside 2x2"):
             m.add(r, c, 1)
+
+
+def test_rank_leaves_its_argument_unchanged():
+    # columns out of length order, int and Fraction, each reduced against an
+    # earlier pivot: rank must neither reorder mat.cols nor write into a column
+    m = from_rows([
+        [1, 2, 0, Fraction(1, 2), 3],
+        [1, 0, 1, Fraction(1, 3), 0],
+        [1, 1, 1, 0, 0],
+        [0, 0, 2, Fraction(5, 7), 0],
+    ])
+    cols = m.cols
+    ids = [id(col) for col in cols]
+    before = [dict(col) for col in cols]
+    assert [len(col) for col in cols] != sorted(len(col) for col in cols)
+    assert rank(m) == oracle_rank.rank(m) == 4
+    assert m.cols is cols
+    assert [id(col) for col in m.cols] == ids
+    assert m.cols == before
+
+
+def test_integral_fractions_next_to_int_columns():
+    # add keeps Fraction(6, 2) a Fraction: a column of such entries has no
+    # denominator to clear but is not all int, so it takes the lcm scaling
+    rng = random.Random(18)
+    kinds = [lambda: rng.randint(-3, 3),
+             lambda: Fraction(2 * rng.randint(-3, 3), 2),
+             lambda: Fraction(rng.randint(-3, 3), rng.choice([2, 3, 5]))]
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        m = SparseRationalMatrix(nrows, ncols)
+        for c in range(ncols):
+            kind = rng.choice(kinds)
+            for r in rng.sample(range(nrows), rng.randint(0, nrows)):
+                m.add(r, c, kind())
+        assert rank(m) == oracle_rank.rank(m)
+    m = from_rows([[Fraction(6, 2), 1, Fraction(1, 2)],
+                   [Fraction(4, 2), 2, Fraction(1, 3)]])
+    assert type(m[(0, 0)]) is Fraction
+    assert rank(m) == oracle_rank.rank(m) == 2

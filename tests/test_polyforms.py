@@ -436,6 +436,15 @@ def test_betti_with_vectors_frozen():
     assert rep.euler == 0
 
 
+def test_betti_fill_heavy_complex_frozen():
+    # n = 2 at (w, h) = (-7, 2): rank is nearly all of the run, and the
+    # column order inside exactla.rank decides its fill-in; engine-frozen
+    rep = double_weight_betti(-7, 2, 2)
+    assert rep.dims == (0, 0, 620, 3828, 6064, 4146, 1098)
+    assert rep.ranks == (0, 0, 0, 620, 3016, 3048, 1098)
+    assert rep.betti == (0, 0, 0, 192, 0, 0, 0)
+
+
 def test_euler_vanishes_with_vectors():
     # Euler needs dimensions only, so skip the rank computations and
     # check the alternating dimension sum over the whole support
