@@ -84,16 +84,18 @@ def rank(mat: SparseRationalMatrix) -> int:
 
     Columns go by nonzero count, ties in index order (the order changes the
     fill, not the rank); mat is not changed.  A column of int entries is
-    copied as it is, any other scaled once to integers by the lcm of its
-    denominators.  The column is then reduced at its lowest live row (the
-    smallest row index with a nonzero entry) by the kept pivot column whose
-    lowest row that is, until it is zero or its lowest row has no pivot yet;
-    then it is divided by the gcd of its entries and kept as that row's
-    pivot.  A step is fraction free: with a = col[low] and b = pivot[low]
-    divided by their gcd, col becomes b*col - a*pivot, a nonzero multiple of
-    col plus a multiple of a pivot.  So a column reduces to zero exactly when
-    it is a combination of the kept pivots, which are independent because
-    their lowest rows differ: the rank is the pivot count.
+    copied as it is: it shares its int objects with mat, where scaling by 1
+    would allocate new ints and raise the peak memory.  Any other
+    column is scaled once to integers by the lcm of its denominators.  The
+    column is then reduced at its lowest live row (the smallest row index
+    with a nonzero entry) by the kept pivot column whose lowest row that is,
+    until it is zero or its lowest row has no pivot yet; then it is divided
+    by the gcd of its entries and kept as that row's pivot.  A step is
+    fraction free: with a = col[low] and b = pivot[low] divided by their gcd,
+    col becomes b*col - a*pivot, a nonzero multiple of col plus a multiple
+    of a pivot.  So a column reduces to zero exactly when it is a
+    combination of the kept pivots, which are independent because their
+    lowest rows differ: the rank is the pivot count.
     """
     pivots: dict[int, dict[int, int]] = {}  # lowest row -> primitive pivot column
     for given in sorted(mat.cols, key=len):

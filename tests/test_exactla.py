@@ -305,8 +305,9 @@ def test_rank_leaves_its_argument_unchanged():
 
 
 def test_integral_fractions_next_to_int_columns():
-    # add keeps Fraction(6, 2) a Fraction: a column of such entries has no
-    # denominator to clear but is not all int, so it takes the lcm scaling
+    # add keeps Fraction(6, 2) a Fraction: a column of such entries has an
+    # lcm of 1 but is not int, so a copy keyed on that lcm would hand
+    # Fractions to gcd
     rng = random.Random(18)
     kinds = [lambda: rng.randint(-3, 3),
              lambda: Fraction(2 * rng.randint(-3, 3), 2),

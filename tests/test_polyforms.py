@@ -437,8 +437,8 @@ def test_betti_with_vectors_frozen():
 
 
 def test_betti_fill_heavy_complex_frozen():
-    # n = 2 at (w, h) = (-7, 2): rank is nearly all of the run, and the
-    # column order inside exactla.rank decides its fill-in; engine-frozen
+    # n = 2 at (w, h) = (-7, 2): the column order inside exactla.rank
+    # decides its fill-in, and so most of its run time; engine-frozen
     rep = double_weight_betti(-7, 2, 2)
     assert rep.dims == (0, 0, 620, 3828, 6064, 4146, 1098)
     assert rep.ranks == (0, 0, 0, 620, 3016, 3048, 1098)
