@@ -191,11 +191,11 @@ def exponent_tuples(n: int, total: int):
         raise ValueError(f"need n >= 1 variables, got n = {n}")
     if total < 0:
         return []
-    if n == 1:
-        return [(total,)]
-    return [(first,) + rest
-            for first in range(total + 1)
-            for rest in exponent_tuples(n - 1, total - first)]
+    # stars and bars: the n - 1 bar slots among total + n - 1, in lexicographic
+    # order, give alpha in lexicographic order
+    ends = total + n - 1
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (ends,)))
+            for bars in combinations(range(ends), n - 1)]
 
 
 def poly_levels(n: int, m_top: int, h: int, include_vectors=False):

@@ -191,11 +191,12 @@ class WeightedComplex:
         return self._counts.get(state)
 
     def _n(self, idx, k, w):
-        """N(idx, k, w) as in the class docstring.
+        """N(idx, k, w) as in the class docstring; dim is its only caller.
 
         No recursion, so a long level list cannot reach the recursion limit:
-        the states still unknown are found level by level down from idx, then
-        summed from the deepest level up, each child before its parents.
+        the states still unknown are expanded level by level down from idx,
+        then every expanded state is summed and memoized in one backward
+        pass, from the deepest level up, each child before its parents.
         """
         known, memo = self._known, self._counts
         got = known((idx, k, w))
@@ -221,17 +222,10 @@ class WeightedComplex:
                         below.add(child)
                     else:
                         total += ways * got
-                if kids:
-                    sums.append((state, total, kids))
-                else:
-                    memo[state] = total
-            if not below:
-                break
+                sums.append((state, total, kids))
             level = below
         for state, total, kids in reversed(sums):
-            for ways, child in kids:
-                total += ways * memo[child]
-            memo[state] = total
+            memo[state] = total + sum(ways * memo[child] for ways, child in kids)
         return memo[(idx, k, w)]
 
     def dim(self, m, w) -> int:
@@ -251,7 +245,10 @@ class WeightedComplex:
         """The degree-m monomials of weight w, memoized, after the cap check.
 
         The walk picks j tokens from each level in turn and descends only
-        where N of the rest is nonzero, so every node it visits emits.
+        where N of the rest is nonzero, so every node it visits emits.  It
+        reads N of the rest from the memo that dim has just filled (dim
+        expands every state it needs); a miss would skip a child and fail
+        the count check below, never give a wrong basis.
         """
         key = (m, _as_tuple(w))
         if key in self._basis_cache:
@@ -274,7 +271,7 @@ class WeightedComplex:
             kids = []
             for k in range(kmax + 1):
                 w2 = tuple(x - k * y for x, y in zip(w_rem, wv))
-                if not self._n(idx + 1, k_rem - k, w2):
+                if not self._known((idx + 1, k_rem - k, w2)):
                     continue
                 for combo in picker(lv.tokens, k):
                     kids.append((idx + 1, k_rem - k, w2, chosen + combo))

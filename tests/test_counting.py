@@ -7,10 +7,12 @@ must equal the coefficients of the super-Hilbert series
     prod_even (1 + y t^g)^{n_g} / prod_odd (1 - y t^g)^{n_g},
 
 expanded here token by token, with no binomials and no recursion over
-levels.
+levels.  A basis listed after its dims were counted, in any order, must not
+change: the walk reads the counts that dim memoized.
 """
 
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -97,6 +99,45 @@ def test_custom_levels_match_oracle():
     positive = [Level(2, 2, ("q",)), Level(1, 1, ("p",)), Level(-1, -1, ("e",))]
     assert_bases_match_oracle(
         positive, [(m, w) for m in range(5) for w in range(-5, 9)])
+
+
+# --- bases from a warm memo, in any order -------------------------------------
+
+def assert_warm_bases_match_oracle(levels, cases, seed):
+    """Count every case first, then list the bases in a seeded shuffled order
+    and from the top degree down, each order in a fresh complex."""
+    expected = {case: oracle_enumeration.enumerate_monomials(levels, *case)
+                for case in cases}
+    shuffled = list(cases)
+    Random(seed).shuffle(shuffled)
+    for order in (shuffled, sorted(cases, key=lambda case: -case[0])):
+        cx = WeightedComplex(levels, zero_bracket)
+        for m, w in cases:
+            cx.dim(m, w)
+        for m, w in order:
+            assert cx.basis(m, w) == expected[(m, w)], (m, w)
+
+
+def test_warm_form_bases_match_oracle():
+    assert_warm_bases_match_oracle(
+        form_levels(3), [(m, w) for w in range(-10, 2) for m in range(-w + 3)], 3)
+
+
+def test_warm_extended_bases_match_oracle():
+    levels = extended_complex(catalog("so3")).levels
+    assert_warm_bases_match_oracle(
+        levels, [(m, w) for w in range(-8, 1) for m in range(-w + 5)], 5)
+
+
+@pytest.mark.parametrize("vectors, grid", [
+    (False, [(w, h) for w in (-3, -2, -1) for h in (-1, 0, 1)]),
+    (True, [(-1, -1), (-1, -2), (0, -1), (0, -2)]),
+])
+def test_warm_poly_bases_match_oracle(vectors, grid):
+    for seed, (w, h) in enumerate(grid):
+        top = support_top(w, h, 2, vectors)
+        levels = poly_levels(2, top + 1, h, vectors)
+        assert_warm_bases_match_oracle(levels, [(m, (w, h)) for m in range(top + 2)], seed)
 
 
 # --- dims against the super-Hilbert series -------------------------------------

@@ -1,8 +1,9 @@
 """Every name a module, demo, test or test oracle imports is used in it,
 every module-level def or class in the package is exported or read somewhere,
 every one in a test oracle is read by the tests, the package holds no
-assert statement, which python -O would strip from its run-time checks, and
-only exactla reads a matrix's storage.
+assert statement, which python -O would strip from its run-time checks,
+only exactla reads a matrix's storage, and no function in the package calls
+itself, which a long input would drive to the recursion limit.
 
 A standard-library stand-in for a linter's unused-import and dead-code rules.
 The package __init__ is skipped as a source of imports and definitions: its
@@ -136,3 +137,41 @@ def test_layout_reads_are_caught():
                          ids=lambda p: p.name)
 def test_matrix_layout_stays_in_exactla(path):
     assert layout_reads(path.read_text()) == []
+
+
+def self_calls(source):
+    """(function, line) for each call of a function to itself: by name from
+    a function, through self or cls from a method."""
+    tree = ast.parse(source)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, kinds)}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, kinds):
+            continue
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if fn in methods:
+                hit = (isinstance(f, ast.Attribute) and f.attr == fn.name
+                       and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"))
+            else:
+                hit = isinstance(f, ast.Name) and f.id == fn.name
+            if hit:
+                found.append((fn.name, call.lineno))
+    return found
+
+
+def test_self_calls_are_caught():
+    src = ("def f(n):\n    return f(n - 1) if n else 0\n"
+           "def g(xs):\n    def h(x):\n        return h(x)\n    return [g for g in xs]\n"
+           "class A:\n    def m(self):\n        return self.m() + m() + other.m()\n"
+           "    def k(self):\n        return A.k(self) if self else self.j()\n")
+    assert self_calls(src) == [("f", 2), ("h", 5), ("m", 9)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_recursion_in_the_package(path):
+    assert self_calls(path.read_text()) == []
