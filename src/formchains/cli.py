@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
 
 from .extend import check_system_jacobi, extended_betti
@@ -121,6 +120,8 @@ def run_reports(tasks, jobs):
     # the pool starts every worker up front: never more than there are tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool machinery costs every other run ~1.3 MB
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_call, tasks))
     return list(map(_call, tasks))

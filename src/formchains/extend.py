@@ -49,9 +49,14 @@ def extended_complex(spec, cap=None):
 
     levels[0] holds the vectors; the rest are the form levels, tagged.
     """
+    return _extended_complex(spec, None, cap)
+
+
+def _extended_complex(spec, w, cap):
+    """extended_complex on the form levels that occur at weight w (all if w is None)."""
     vectors = Level(0, (0,), tuple(("v", i) for i in range(1, spec.n + 1)))
     tagged = [Level(lv.grade, lv.weight, tuple(("f", s) for s in lv.tokens))
-              for lv in form_levels(spec.n)]
+              for lv in form_levels(spec.n, w)]
     return WeightedComplex([vectors] + tagged,
                            lambda a, b: extended_bracket(a, b, spec), cap)
 
@@ -60,13 +65,13 @@ def extended_betti(spec, w, cap=None):
     """Homology report of the extended complex, degrees m = 1 .. -w + n."""
     if w >= 0:
         raise ValueError("weight must be negative")
-    return complex_homology(extended_complex(spec, cap=cap), w, -w + spec.n,
+    return complex_homology(_extended_complex(spec, w, cap), w, -w + spec.n,
                             (spec.name or "?") + "+T")
 
 
 def k_split_dims(spec, w, cap=None):
     """Per degree m, C_m^w split by the number k of vectors: C(n, k) dim C_{m-k}^w."""
-    cx, forms = extended_complex(spec, cap=cap), WeightedComplex(form_levels(spec.n), None)
+    cx, forms = _extended_complex(spec, w, cap), WeightedComplex(form_levels(spec.n, w), None)
     out = []
     for m in range(1, -w + spec.n + 1):
         cx.dim(m, w)  # the cap applies to the whole C_m^w

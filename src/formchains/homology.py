@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from . import exactla
-from .superchain import _ind, _nb, forms_complex
+from .superchain import _forms_complex, _ind, _nb
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,9 @@ def betti_row(spec, w, cap=None, name=None):
 
 def betti_table(spec, weights, cap=None, name=None):
     """betti_row over several weights, in the order given."""
-    cx = forms_complex(spec, cap=cap)
+    weights = list(weights)
+    # the complex holds only the form levels that the lowest weight reaches
+    cx = _forms_complex(spec, min(weights, default=0), cap)
     label = name or spec.name or "?"
     out = []
     for w in weights:

@@ -18,10 +18,14 @@ One class, WeightedComplex, holds a list of levels, each the tokens of one
 grade and weight.  It counts every C_m^w without enumerating, walks a basis
 only where the count is nonzero, and assembles the boundary matrices.
 
-Boundaries are assembled per distinct factor pair: a canonical monomial is
-a list of runs of equal factors (a long 1^k run in deep form weights), and
-each pair of runs gets one bracket call and one insertion per bracket term,
-its position-pair signs folded into one integer coefficient.
+Inside the class a monomial is a run key: a tuple of (id, multiplicity)
+pairs in id order, where a token's id is its index in the canonical order
+(a long 1^k run in deep form weights is one pair).  The walk emits run keys
+and boundary_matrix reads them; only basis expands them into canonical
+product tuples, the form every public function returns.  Boundaries are
+assembled per pair of runs: one bracket call and one insertion per bracket
+term, the position-pair signs folded into one integer coefficient and the
+insertion sign read off prefix counts of the key.
 """
 
 from __future__ import annotations
@@ -41,76 +45,10 @@ class EnumerationCapExceeded(Exception):
     """Raised when a basis enumeration grows past the configured cap."""
 
 
-def _insert(rest, pos, tok, grade_of):
-    """Move tok, standing at index pos of the canonical sequence rest, to its
-    canonical slot; returns (sign, monomial) or (0, None).
-
-    Crossing a factor flips the sign unless both are odd; an even tok that
-    meets its equal kills the product.
-    """
-    g = grade_of(tok)
-    k = bisect_left(rest, (-g, tok), key=lambda t: (-grade_of(t), t))
-    if g % 2 == 0 and k < len(rest) and rest[k] == tok:
-        return 0, None
-    crossed = rest[k:pos] if k <= pos else rest[pos:k]
-    if g % 2:
-        crossed = [t for t in crossed if grade_of(t) % 2 == 0]
-    return _sign(len(crossed)), rest[:k] + (tok,) + rest[k:]
-
-
-def boundary_of_monomial(mono, grade_of, bracket) -> dict:
-    """bd of one product, as {canonical monomial: coefficient}.
-
-    mono is a canonical monomial, or any order of at most three factors (the
-    pair and triple identity tests pass these; dropping two factors then
-    leaves a canonical rest).  Adjacent equal even factors make the product
-    zero, and the result is {}.  bracket(A, B) must be homogeneous of grade
-    a + b.
-
-    Position pairs i < j are summed per pair of runs of equal factors (run
-    a: k_a copies of A_a from position s_a, counting from 0).  Every pair of
-    one run pair drops the same two factors, so a run pair gets one bracket
-    call, one rest and one insertion per bracket term, at the first j; and
-    its position pairs all have one sign:
-    - over i, in an odd run the exponent i + a_i(a_{i+1}+...+a_{j-1}) does
-      not move (each step adds 2), and an even run has k_a = 1;
-    - over j, a step within an odd run b adds a_i to the exponent and moves
-      the bracket term, of parity a_i + 1, across a copy of A_b, which flips
-      its insertion sign iff a_i = 1: the two cancel;
-    - for i < j in one odd run, the d-th j has exponent s_a + d and d + 1
-      choices of i, and its even bracket term crosses d copies of A_a.
-    So the sign is counted k_a k_b times, or k_a (k_a - 1) / 2 in one run.
-    """
-    out: dict = {}
-    runs = []  # [factor, first position, length, parity, odd factors before it]
-    odd = 0
-    for pos, tok in enumerate(mono):
-        if runs and runs[-1][0] == tok:
-            if not runs[-1][3]:
-                return out  # a repeated even factor: the product is zero
-            runs[-1][2] += 1
-        else:
-            runs.append([tok, pos, 1, grade_of(tok) % 2, odd])
-        odd += runs[-1][3]
-    for a, (ta, sa, ka, pa, oa) in enumerate(runs):
-        for tb, sb, kb, _, ob in runs[a:] if ka > 1 else runs[a + 1:]:
-            br = bracket(ta, tb)
-            if not br:
-                continue
-            if sb == sa:
-                mult = ka * (ka - 1) // 2
-                rest, pos = mono[:sa] + mono[sa + 2:], sa
-            else:
-                # the exponent at the first j is s_a for an even run a, and
-                # s_a - 1 + (odd factors from s_a up to s_b) for an odd one
-                mult = (ka * _sign(1 + ob - oa) if pa else 1) * kb
-                rest, pos = mono[:sa] + mono[sa + 1: sb] + mono[sb + 1:], sb - 1
-            mult *= _sign(sa)
-            for tok, cf in br.items():
-                s, canon = _insert(rest, pos, tok, grade_of)
-                if s:
-                    add_term(out, canon, s * mult * cf)
-    return out
+def _drop(key, c):
+    """The run key with one factor of its run c taken out."""
+    i, k = key[c]
+    return key[:c] + ((i, k - 1),) + key[c + 1:] if k > 1 else key[:c] + key[c + 1:]
 
 
 @dataclass(frozen=True)
@@ -145,8 +83,10 @@ class WeightedComplex:
     even level of c tokens gives ways_j = C(c, j) and an odd one
     C(c + j - 1, j).  Per-coordinate min/max weights of the remaining levels
     answer most zero states in O(1); the counts are memoized per complex.
-    basis walks only where the count is nonzero, so its cost follows the
-    output.  The cap applies to every dim, and so to every basis.
+    The walk lists run keys only where the count is nonzero, so its cost
+    follows the output; basis expands them into canonical product tuples,
+    and boundary_matrix assembles from the keys themselves.  The cap
+    applies to every dim, and so to every basis.
 
     bracket(a, b) returns {token: coefficient}; each pair is computed at most
     once, on first use, and the result is shared, so callers must not mutate
@@ -164,7 +104,9 @@ class WeightedComplex:
         self.grade_of = self.grades.__getitem__
         # canonical order: descending grade, then token
         self.tokens = tuple(sorted(self.grades, key=lambda t: (-self.grades[t], t)))
-        self._position = {t: i for i, t in enumerate(self.tokens)}.__getitem__
+        # a token's id is its index in that order, so run keys sort by id
+        self._ids = {t: i for i, t in enumerate(self.tokens)}
+        self._odd = [self.grades[t] % 2 for t in self.tokens]
         self._weights = [_as_tuple(lv.weight) for lv in self.levels]
         # a target weight must have the arity of every level weight
         self._arities = {len(wv) for wv in self._weights}
@@ -176,6 +118,8 @@ class WeightedComplex:
         self._counts: dict = {}
         self.cap = cap
         self.bracket = bracket and cache(bracket)
+        self._pick_cache: dict = {}  # (level index, j) -> the run keys of its j-token picks
+        self._key_cache: dict = {}   # (m, w) -> the run keys of the basis
         self._basis_cache: dict = {}
 
     def _known(self, state):
@@ -241,8 +185,22 @@ class WeightedComplex:
             )
         return size
 
-    def basis(self, m, w):
-        """The degree-m monomials of weight w, memoized, after the cap check.
+    def _picks(self, idx, j):
+        """The run keys of the j-token picks from level idx, in the order
+        the walk takes them: subsets of an even level, multisets of an odd
+        one.  Computed once per complex."""
+        got = self._pick_cache.get((idx, j))
+        if got is None:
+            lv, ids = self.levels[idx], self._ids
+            picker = combinations if lv.capacity is not None else combinations_with_replacement
+            got = self._pick_cache[idx, j] = [
+                tuple((ids[t], len(list(run))) for t, run in groupby(combo))
+                for combo in picker(lv.tokens, j)]
+        return got
+
+    def _run_keys(self, m, w):
+        """The run keys of the degree-m monomials of weight w, memoized,
+        after the cap check.
 
         The walk picks j tokens from each level in turn and descends only
         where N of the rest is nonzero, so every node it visits emits.  It
@@ -250,31 +208,30 @@ class WeightedComplex:
         expands every state it needs); a miss would skip a child and fail
         the count check below, never give a wrong basis.
         """
-        key = (m, _as_tuple(w))
-        if key in self._basis_cache:
-            return self._basis_cache[key]
+        mw = (m, _as_tuple(w))
+        if mw in self._key_cache:
+            return self._key_cache[mw]
         size = self.dim(m, w)
-        levels, weights, position = self.levels, self._weights, self._position
+        levels, weights = self.levels, self._weights
         out = []
 
         # depth first, on an explicit stack instead of one call per level
-        stack = [(0, m, key[1], ())] if size else []
+        stack = [(0, m, mw[1], ())] if size else []
         while stack:
             idx, k_rem, w_rem, chosen = stack.pop()
             if k_rem == 0:
-                # the basis element is the multiset's canonical (sorted) product
-                out.append(tuple(sorted(chosen, key=position)))
+                # the picks of all levels, in id (canonical) order
+                out.append(tuple(sorted(chosen)))
                 continue
             lv, wv = levels[idx], weights[idx]
             kmax = k_rem if lv.capacity is None else min(k_rem, lv.capacity)
-            picker = combinations if lv.capacity is not None else combinations_with_replacement
             kids = []
             for k in range(kmax + 1):
                 w2 = tuple(x - k * y for x, y in zip(w_rem, wv))
                 if not self._known((idx + 1, k_rem - k, w2)):
                     continue
-                for combo in picker(lv.tokens, k):
-                    kids.append((idx + 1, k_rem - k, w2, chosen + combo))
+                for pick in self._picks(idx, k):
+                    kids.append((idx + 1, k_rem - k, w2, chosen + pick))
             # popped last first, so the children come out in order
             stack.extend(reversed(kids))
         # always on, also under python -O: the walk must list what was counted
@@ -283,20 +240,113 @@ class WeightedComplex:
                 f"enumerated {len(out)} monomials at degree {m}, weight {w}, "
                 f"but counted {size}"
             )
-        self._basis_cache[key] = out
+        self._key_cache[mw] = out
         return out
 
-    def boundary_matrix(self, m, w, image=boundary_of_monomial) -> SparseRationalMatrix:
-        """The matrix of bd: C_m^w -> C_{m-1}^w in the enumerated bases."""
-        cols = self.basis(m, w)
-        rows = self.basis(m - 1, w) if m >= 1 else []
-        index = {mono: r for r, mono in enumerate(rows)}
+    def _flat(self, key):
+        """The canonical product of a run key: each token repeated k times."""
+        tokens = self.tokens
+        return tuple(t for i, k in key for t in (tokens[i],) * k)
+
+    def basis(self, m, w):
+        """The degree-m monomials of weight w, each a canonical product
+        tuple, memoized, after the cap check.
+
+        These are the run keys of the walk (see _run_keys) expanded into
+        tokens; boundary_matrix reads the keys and never builds them.
+        """
+        mw = (m, _as_tuple(w))
+        if mw not in self._basis_cache:
+            self._basis_cache[mw] = [self._flat(key) for key in self._run_keys(m, w)]
+        return self._basis_cache[mw]
+
+    def _image(self, key, bracket):
+        """bd of one product, from its run key, as {run key: coefficient}.
+
+        The key has no repeated even factor, as every basis key.  bracket(A,
+        B) must be homogeneous of grade a + b.
+
+        Position pairs i < j are summed per pair of runs of equal factors
+        (run a: k_a copies of A_a from position s_a, counting from 0).
+        Every pair of one run pair drops the same two factors, so a run pair
+        gets one bracket call, one rest and one insertion per bracket term,
+        at the first j; and its position pairs all have one sign:
+        - over i, in an odd run the exponent i + a_i(a_{i+1}+...+a_{j-1})
+          does not move (each step adds 2), and an even run has k_a = 1;
+        - over j, a step within an odd run b adds a_i to the exponent and
+          moves the bracket term, of parity a_i + 1, across a copy of A_b,
+          which flips its insertion sign iff a_i = 1: the two cancel;
+        - for i < j in one odd run, the d-th j has exponent s_a + d and
+          d + 1 choices of i, and its even bracket term crosses d copies of
+          A_a.
+        So the sign is counted k_a k_b times, or k_a (k_a - 1) / 2 in one
+        run.  A bracket term t, put where A_b stood, moves to its slot
+        across the factors of the rest whose id lies in [min(t, id_b),
+        max(t, id_b)), only the even ones if t is odd; an even t that meets
+        its equal kills the term.
+        """
+        tokens, ids, odd = self.tokens, self._ids, self._odd
+        # factors before each run (and before the end): all, and the even ones
+        starts, evens = [0], [0]
+        for i, k in key:
+            starts.append(starts[-1] + k)
+            evens.append(evens[-1] + (0 if odd[i] else k))
+        out: dict = {}
+        for a, (ia, ka) in enumerate(key):
+            pa = odd[ia]
+            for b in range(a if ka > 1 else a + 1, len(key)):
+                ib, kb = key[b]
+                br = bracket(tokens[ia], tokens[ib])
+                if not br:
+                    continue
+                if a == b:
+                    mult = ka * (ka - 1) // 2
+                else:
+                    # the exponent at the first j is s_a for an even run a,
+                    # and s_a - 1 + (odd factors from s_a up to s_b) for an odd one
+                    odds = starts[b] - starts[a] - evens[b] + evens[a]
+                    mult = (ka * _sign(1 + odds) if pa else 1) * kb
+                mult *= _sign(starts[a])
+                rest = _drop(_drop(key, b), a)
+                for tok, cf in br.items():
+                    t = ids[tok]
+                    y = bisect_left(rest, (t,))
+                    if y < len(rest) and rest[y][0] == t:
+                        if not odd[t]:
+                            continue  # an even factor met its equal
+                        tgt = rest[:y] + ((t, rest[y][1] + 1),) + rest[y + 1:]
+                    else:
+                        tgt = rest[:y] + ((t, 1),) + rest[y:]
+                    # the crossed factors are R(t) - R(id_b) up to sign, R(v)
+                    # counting those of the rest below id v: the key's prefix
+                    # count less A_a if ia < v and A_b if ib < v
+                    x = bisect_left(key, (t,))
+                    if odd[t]:
+                        crossed = (evens[x] + evens[b] + (ib < t) * (1 - odd[ib])
+                                   + ((ia < t) + (a != b)) * (1 - pa))
+                    else:
+                        crossed = starts[x] + starts[b] + (ib < t) + (ia < t) + (a != b)
+                    add_term(out, tgt, (-mult if crossed % 2 else mult) * cf)
+        return out
+
+    def boundary_matrix(self, m, w) -> SparseRationalMatrix:
+        """The matrix of bd: C_m^w -> C_{m-1}^w in the enumerated bases.
+
+        Columns and rows are the run keys of the basis walk; no flat
+        product is built unless the boundary leaves the weight space, to
+        name it.  self.bracket is read here, at call time.
+        """
+        cols = self._run_keys(m, w)
+        rows = self._run_keys(m - 1, w) if m >= 1 else []
+        index = {key: r for r, key in enumerate(rows)}
+        bracket = self.bracket
         mat = SparseRationalMatrix(len(rows), len(cols))
-        for c, mono in enumerate(cols):
-            for tgt, cf in image(mono, self.grade_of, self.bracket).items():
+        for c, key in enumerate(cols):
+            for tgt, cf in self._image(key, bracket).items():
                 if tgt not in index:
                     raise AssertionError(
-                        f"boundary left the space of weight {w}: {mono} -> {tgt}"
+                        f"boundary left the space of weight {w}: "
+                        f"{self._flat(key)} -> {self._flat(tgt)}"
                     )
                 mat.add(index[tgt], c, cf)
         return mat
@@ -314,17 +364,27 @@ def enumerate_monomials(levels, m, weight, cap=None):
 
 # --- the invariant-forms complex ---------------------------------------------
 
-def form_levels(n: int):
-    """Grade levels of the forms superalgebra: a-forms at grade -(1+a)."""
+def form_levels(n: int, w=None):
+    """Grade levels of the forms superalgebra: a-forms at grade -(1+a).
+
+    Given a weight w, only the levels that can occur in it: every factor of
+    a monomial of weight w < 0 weighs at least w, so a <= -w - 1.
+    """
+    top = n if w is None else min(n, -w - 1)
     return [
         Level(-(1 + a), (-(1 + a),), tuple(combinations(range(1, n + 1), a)))
-        for a in range(n + 1)
+        for a in range(top + 1)
     ]
 
 
 def forms_complex(spec, cap=None) -> WeightedComplex:
     """The invariant-forms chain complex: basis subsets as tokens."""
-    return WeightedComplex(form_levels(spec.n), lambda a, b: forms.super_bracket(
+    return _forms_complex(spec, None, cap)
+
+
+def _forms_complex(spec, w, cap):
+    """forms_complex on the levels that occur at weight w (all if w is None)."""
+    return WeightedComplex(form_levels(spec.n, w), lambda a, b: forms.super_bracket(
         {a: 1}, {b: 1}, spec), cap)
 
 

@@ -1,16 +1,21 @@
 """The boundaries that formchains assembled with before, kept as test
-oracles for superchain.
+oracles for superchain, all on flat canonical product tuples.
 
-boundary_of_monomial is the sorting boundary: normalize re-sorts a whole
+boundary_by_sorting is the sorting boundary: normalize re-sorts a whole
 factor sequence by insertion sort, so it accepts any factor order,
 canonical or not.  boundary_by_insertion is the position-pair boundary that
 followed it: one bracket call per pair i < j, each term inserted into the
-canonical rest.  boundary_via_left_action is the independent left-action
-recursion; it is reached as boundary_matrix(m, w, image=boundary_via_left_action).
+canonical rest by _insert.  boundary_of_monomial is the run-pair boundary
+that followed that: one bracket call per pair of runs of equal factors.
+WeightedComplex.boundary_matrix computes the same sums on run keys.
+boundary_via_left_action is the independent left-action recursion.
+matrix_of builds a boundary matrix from any of them and the flat bases.
 """
 
+from bisect import bisect_left
+
+from formchains.exactla import SparseRationalMatrix
 from formchains.forms import _sign, add_term
-from formchains.superchain import _insert
 
 
 def _key(token, grade_of):
@@ -41,7 +46,7 @@ def normalize(factors, grade_of):
     return sign, tuple(fac)
 
 
-def boundary_of_monomial(mono, grade_of, bracket) -> dict:
+def boundary_by_sorting(mono, grade_of, bracket) -> dict:
     """All pairwise bracket insertions, as {canonical monomial: coefficient}."""
     out: dict = {}
     par = [grade_of(t) % 2 for t in mono]
@@ -59,6 +64,22 @@ def boundary_of_monomial(mono, grade_of, bracket) -> dict:
                     add_term(out, canon, _sign(e) * s * cf)
     return out
 
+
+def _insert(rest, pos, tok, grade_of):
+    """Move tok, standing at index pos of the canonical sequence rest, to its
+    canonical slot; returns (sign, monomial) or (0, None).
+
+    Crossing a factor flips the sign unless both are odd; an even tok that
+    meets its equal kills the product.
+    """
+    g = grade_of(tok)
+    k = bisect_left(rest, (-g, tok), key=lambda t: (-grade_of(t), t))
+    if g % 2 == 0 and k < len(rest) and rest[k] == tok:
+        return 0, None
+    crossed = rest[k:pos] if k <= pos else rest[pos:k]
+    if g % 2:
+        crossed = [t for t in crossed if grade_of(t) % 2 == 0]
+    return _sign(len(crossed)), rest[:k] + (tok,) + rest[k:]
 
 
 def boundary_by_insertion(mono, grade_of, bracket) -> dict:
@@ -83,14 +104,57 @@ def boundary_by_insertion(mono, grade_of, bracket) -> dict:
                     add_term(out, canon, _sign(e) * s * cf)
     return out
 
+
+def boundary_of_monomial(mono, grade_of, bracket) -> dict:
+    """bd of one product, as {canonical monomial: coefficient}.
+
+    mono is a canonical monomial, or any order of at most three factors (the
+    pair and triple identity tests pass these; dropping two factors then
+    leaves a canonical rest).  Adjacent equal even factors make the product
+    zero, and the result is {}.  bracket(A, B) must be homogeneous of grade
+    a + b.
+
+    Position pairs i < j are summed per pair of runs of equal factors, one
+    bracket call, one rest and one insertion per bracket term each, with the
+    signs and multiplicities of WeightedComplex._image.
+    """
+    out: dict = {}
+    runs = []  # [factor, first position, length, parity, odd factors before it]
+    odd = 0
+    for pos, tok in enumerate(mono):
+        if runs and runs[-1][0] == tok:
+            if not runs[-1][3]:
+                return out  # a repeated even factor: the product is zero
+            runs[-1][2] += 1
+        else:
+            runs.append([tok, pos, 1, grade_of(tok) % 2, odd])
+        odd += runs[-1][3]
+    for a, (ta, sa, ka, pa, oa) in enumerate(runs):
+        for tb, sb, kb, _, ob in runs[a:] if ka > 1 else runs[a + 1:]:
+            br = bracket(ta, tb)
+            if not br:
+                continue
+            if sb == sa:
+                mult = ka * (ka - 1) // 2
+                rest, pos = mono[:sa] + mono[sa + 2:], sa
+            else:
+                mult = (ka * _sign(1 + ob - oa) if pa else 1) * kb
+                rest, pos = mono[:sa] + mono[sa + 1: sb] + mono[sb + 1:], sb - 1
+            mult *= _sign(sa)
+            for tok, cf in br.items():
+                s, canon = _insert(rest, pos, tok, grade_of)
+                if s:
+                    add_term(out, canon, s * mult * cf)
+    return out
+
+
 def boundary_via_left_action(mono, grade_of, bracket) -> dict:
     """Same boundary through the recursion
 
     bd(A_0 ^ R) = -A_0 ^ bd(R) + A_0.R,
     A_0.R = sum_i (-1)^{a_0(a_1+...+a_{i-1})} R with R_i replaced by [[A_0,R_i]].
 
-    Kept independent of boundary_of_monomial as a cross-check; the tests
-    reach it as boundary_matrix(m, w, image=boundary_via_left_action).
+    Kept independent of the pairwise sums as a cross-check.
     """
     out: dict = {}
     if len(mono) <= 1:
@@ -111,3 +175,16 @@ def boundary_via_left_action(mono, grade_of, bracket) -> dict:
                 add_term(out, canon, _sign(e) * s * cf)
         acc += grade_of(tok_i) % 2
     return out
+
+
+def matrix_of(cx, m, w, image):
+    """The matrix of bd: C_m^w -> C_{m-1}^w in cx's flat bases, each column
+    image(monomial, cx.grade_of, cx.bracket)."""
+    cols = cx.basis(m, w)
+    rows = cx.basis(m - 1, w) if m >= 1 else []
+    index = {mono: r for r, mono in enumerate(rows)}
+    mat = SparseRationalMatrix(len(rows), len(cols))
+    for c, mono in enumerate(cols):
+        for tgt, cf in image(mono, cx.grade_of, cx.bracket).items():
+            mat.add(index[tgt], c, cf)
+    return mat

@@ -34,7 +34,7 @@ from formchains.superchain import (
 )
 
 import oracle_calculus
-from oracle_boundary import boundary_via_left_action
+from oracle_boundary import boundary_via_left_action, matrix_of
 
 CATALOG = ["so3", "sl2r", "d2(1)", "d2(-1)", "d1n", "d1y",
            "abelian(3)", "dim2", "abelian(2)"]
@@ -171,7 +171,7 @@ def test_differential_structure_is_consistent():
         # the pairwise double sum agrees with the left-action recursion
         for w in range(-1, -9, -1):
             for m in range(1, -w + 1):
-                oracle = cx.boundary_matrix(m, w, image=boundary_via_left_action)
+                oracle = matrix_of(cx, m, w, boundary_via_left_action)
                 if cx.boundary_matrix(m, w) != oracle:
                     failures.append(("left-action", name, m, w))
         # exhaustive super Jacobi and graded antisymmetry on the form tokens

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism, golden diffs."""
 
 import argparse
+import concurrent.futures
 import gc
 import json
 import os
@@ -305,6 +306,21 @@ def test_jobs_do_not_change_bytes(capsys):
     assert capsys.readouterr().out == serial
 
 
+def test_the_cli_loads_no_process_pool_until_jobs_ask_for_one():
+    # the pool machinery (multiprocessing, sockets, pickle) costs every
+    # serial run about 1.3 MB of peak memory
+    script = ("import sys\nimport formchains.cli as cli\n"
+              "cli.main(['betti', '--algebra', 'so3', '--w', '3'])\n"
+              "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+              "             if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_jobs_never_exceed_tasks(monkeypatch, capsys):
     # a stand-in pool that records its size and maps in-process: no
     # worker is ever started, whatever --jobs asks for
@@ -323,7 +339,8 @@ def test_jobs_never_exceed_tasks(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # run_reports imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     argv = ["betti", "--algebra", "so3", "--w-range", "1:3", "--format", "csv"]
     assert main(argv + ["--jobs", "1"]) == 0
     serial = capsys.readouterr().out

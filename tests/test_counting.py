@@ -92,6 +92,14 @@ def test_poly_bases_match_oracle(n, vectors, grid):
         assert_bases_match_oracle(levels, [(m, (w, h)) for m in range(top + 2)])
 
 
+def test_poly_levels_are_not_in_token_order():
+    # so the poly grids above check that the walk sorts each pick by token id
+    top = support_top(-1, -1, 2, True)
+    levels = poly_levels(2, top + 1, -1, True)
+    listed = [t for lv in levels for t in lv.tokens]
+    assert listed != list(WeightedComplex(levels, None).tokens)
+
+
 def test_custom_levels_match_oracle():
     double = [Level(0, (0, 1), (("v", 1), ("v", 2))), Level(-1, (-1, 0), (("f", 1),))]
     assert_bases_match_oracle(

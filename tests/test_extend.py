@@ -1,9 +1,10 @@
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from formchains import forms
+from formchains import extend, forms, superchain
 from formchains.extend import (
     check_extended_jacobi,
     check_system_jacobi,
@@ -13,7 +14,7 @@ from formchains.extend import (
     k_split_dims,
     lie_derivative,
 )
-from formchains.homology import betti_row, complex_homology
+from formchains.homology import betti_row, betti_table, complex_homology
 from formchains.liealg import catalog
 from formchains.superchain import (
     EnumerationCapExceeded,
@@ -273,3 +274,40 @@ def test_extended_betti_abelian_frozen():
 def test_extended_weight_must_be_negative():
     with pytest.raises(ValueError):
         extended_betti(catalog("so3"), 0)
+
+
+# --- only the form levels a weight reaches ---------------------------------------
+
+def test_only_the_form_levels_a_weight_reaches_are_built(monkeypatch):
+    # at weight w only a-forms with a <= -w - 1 occur: abelian(19) at w = -2
+    # needs 1 + 19 form tokens of its 2^19, abelian(6) at w = -1 one of 64
+    built = []
+
+    class Recording(WeightedComplex):
+        def __init__(self, levels, bracket, cap=None):
+            super().__init__(levels, bracket, cap)
+            built.append(len(self.tokens))
+
+    monkeypatch.setattr(superchain, "WeightedComplex", Recording)
+    monkeypatch.setattr(extend, "WeightedComplex", Recording)
+    assert betti_row(catalog("abelian(19)"), -2).dims == (19, 1)
+    six = catalog("abelian(6)")
+    # the one factor 1 and m - 1 of the 6 vectors
+    assert extended_betti(six, -1).dims == (1, 6, 15, 20, 15, 6, 1)
+    assert k_split_dims(six, -1)[:2] == [(1, 0, 0, 0, 0, 0, 0), (0, 6, 0, 0, 0, 0, 0)]
+    # the lowest weight of a table sets its levels
+    assert [rep.dims for rep in betti_table(catalog("so3"), [-1, -3])] == [(1,), (3, 3, 1)]
+    assert built == [20, 7, 7, 1, 7]
+
+
+@pytest.mark.parametrize("name", ["so3", "d1n", "dim2", "abelian(4)"])
+def test_reached_levels_give_the_full_complexes_reports(name):
+    g = catalog(name)
+    full, extended = forms_complex(g), extended_complex(g)
+    ws = [-1, -2, -4, -3]
+    assert betti_table(g, ws) == [complex_homology(full, w, -w, name) for w in ws]
+    for w in ws:
+        assert extended_betti(g, w) == complex_homology(extended, w, -w + g.n, name + "+T")
+        assert k_split_dims(g, w) == [
+            tuple(comb(g.n, k) * full.dim(m - k, w) for k in range(g.n + 1))
+            for m in range(1, -w + g.n + 1)]

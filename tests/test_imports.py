@@ -2,8 +2,9 @@
 every module-level def or class in the package is exported or read somewhere,
 every one in a test oracle is read by the tests, the package holds no
 assert statement, which python -O would strip from its run-time checks,
-only exactla reads a matrix's storage, and no function in the package calls
-itself, which a long input would drive to the recursion limit.
+only exactla reads a matrix's storage, only superchain reads a complex's
+run keys, and no function in the package calls itself, which a long input
+would drive to the recursion limit.
 
 A standard-library stand-in for a linter's unused-import and dead-code rules.
 The package __init__ is skipped as a source of imports and definitions: its
@@ -24,6 +25,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 ORACLES = [p for p in TESTS if p.name.startswith("oracle_")]
 SOURCES = MODULES + DEMOS + TESTS
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -137,6 +139,31 @@ def test_layout_reads_are_caught():
                          ids=lambda p: p.name)
 def test_matrix_layout_stays_in_exactla(path):
     assert layout_reads(path.read_text()) == []
+
+
+RUN_KEY_INTERNALS = ("_run_keys", "_key_cache", "_picks", "_pick_cache", "_image", "_flat", "_ids")
+
+
+def run_key_reads(source):
+    """The line of each read of a complex's run keys: the walk and its
+    caches, the image and the token ids."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr in RUN_KEY_INTERNALS)
+
+
+def test_run_key_reads_are_caught():
+    src = ("def f(cx, m, w):\n    keys = cx._run_keys(m, w)\n"
+           "    cx._key_cache.clear()\n    img = cx._image(keys[0], cx.bracket)\n"
+           "    return cx.basis(m, w), cx.tokens, img\n")
+    assert run_key_reads(src) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE + DEMOS + TESTS + BENCH
+                                  if p.name != "superchain.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_run_keys_stay_in_superchain(path):
+    assert run_key_reads(path.read_text()) == []
 
 
 def self_calls(source):

@@ -42,13 +42,9 @@ from formchains.polyforms import (
     token_weights,
     vector_commutator,
 )
-from formchains.superchain import (
-    EnumerationCapExceeded,
-    _insert,
-    boundary_of_monomial,
-    chain_dim,
-)
+from formchains.superchain import EnumerationCapExceeded, chain_dim
 
+from oracle_boundary import _insert, boundary_of_monomial
 import oracle_calculus
 import oracle_enumeration
 

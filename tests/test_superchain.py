@@ -5,7 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 
 import pytest
 
@@ -17,8 +17,6 @@ from formchains.superchain import (
     EnumerationCapExceeded,
     Level,
     WeightedComplex,
-    _insert,
-    boundary_of_monomial,
     chain_dim,
     chain_dim_formula_n3,
     enumerate_monomials,
@@ -28,7 +26,13 @@ from formchains.superchain import (
 )
 
 import oracle_boundary as oracle
-from oracle_boundary import boundary_via_left_action, normalize
+from oracle_boundary import (
+    _insert,
+    boundary_of_monomial,
+    boundary_via_left_action,
+    matrix_of,
+    normalize,
+)
 
 E = ()            # the 0-form 1, grade -1
 Z1, Z2, Z3 = (1,), (2,), (3,)
@@ -302,9 +306,9 @@ def test_boundary_triple_identity():
 
 def test_boundary_well_defined_under_reordering():
     # bd of a permuted factor sequence equals the permutation sign times bd;
-    # the library takes canonical monomials and any order of up to three
-    # factors only, so this checks the oracle
-    boundary_of_monomial = oracle.boundary_of_monomial
+    # the run-pair oracle takes canonical monomials and any order of up to
+    # three factors only, so this checks the sorting oracle
+    boundary_of_monomial = oracle.boundary_by_sorting
     rng = random.Random(4)
     for name in ("so3", "d2(-1)", "d1n"):
         g = catalog(name)
@@ -366,16 +370,22 @@ def test_double_sum_equals_left_action(name):
     cx = forms_complex(g)
     for w in range(-8, 0):
         for m in range(1, -w + 1):
-            oracle = cx.boundary_matrix(m, w, image=boundary_via_left_action)
+            oracle = matrix_of(cx, m, w, boundary_via_left_action)
             assert cx.boundary_matrix(m, w) == oracle, (name, m, w)
 
 
-def assert_images_match_oracle(cx, w, degrees, reference=oracle.boundary_of_monomial):
+def assert_images_match_oracle(cx, w, degrees, reference=oracle.boundary_by_sorting):
+    # the run-pair oracle on each flat monomial, and the matching column of
+    # boundary_matrix, read back through the flat bases, equal the reference
     for m in degrees:
-        for mono in cx.basis(m, w):
-            got = boundary_of_monomial(mono, cx.grade_of, cx.bracket)
+        cols, rows = cx.basis(m, w), cx.basis(m - 1, w)
+        columns = [{} for _ in cols]
+        for (r, c), v in cx.boundary_matrix(m, w).entries.items():
+            columns[c][rows[r]] = v
+        for mono, column in zip(cols, columns):
             want = reference(mono, cx.grade_of, cx.bracket)
-            assert got == want, (w, mono)
+            assert boundary_of_monomial(mono, cx.grade_of, cx.bracket) == want, (w, mono)
+            assert column == want, (w, mono)
 
 
 @pytest.mark.parametrize("name", CATALOG_N3 + ["dim2", "abelian(2)"])
@@ -482,6 +492,35 @@ def test_token_system_brackets_each_pair_once():
     assert cx.boundary_matrix(4, -8) == first
     assert calls and set(calls.values()) == {1}
     assert first == forms_complex(g).boundary_matrix(4, -8)
+
+
+def test_a_bracket_wrapped_after_construction_sees_every_call():
+    # the benchmark counts bracket calls by replacing cx.bracket on the
+    # instance; boundary_matrix must read it at call time and call it once
+    # per pair of runs of each basis monomial, as the run-pair oracle does
+    g, w = catalog("so3"), -8
+    cx, plain = forms_complex(g), forms_complex(g)
+    inner = cx.bracket
+    calls = Counter()
+
+    def wrapped(a, b):
+        calls["matrix"] += 1
+        return inner(a, b)
+
+    def counting(a, b):
+        calls["oracle"] += 1
+        return inner(a, b)
+
+    cx.bracket = wrapped
+    mats = [cx.boundary_matrix(m, w) for m in range(1, -w + 1)]
+    pairs = 0
+    for m in range(1, -w + 1):
+        for mono in plain.basis(m, w):
+            boundary_of_monomial(mono, gr, counting)
+            runs = [len(list(run)) for _, run in groupby(mono)]
+            pairs += len(runs) * (len(runs) - 1) // 2 + sum(k > 1 for k in runs)
+    assert calls["matrix"] == calls["oracle"] == pairs > 200
+    assert mats == [plain.boundary_matrix(m, w) for m in range(1, -w + 1)]
 
 
 def test_format_monomial():
