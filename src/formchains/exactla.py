@@ -1,15 +1,16 @@
 """Exact linear algebra over Q for sparse boundary matrices.
 
 Matrices hold exact rationals: int when integral, Fraction otherwise, stored
-by column, the way boundaries are built and eliminated.  rank brings the
+by column, the way boundaries are built and eliminated.  echelon brings the
 columns to echelon form sparsest first, ties in index order, each new column
-reduced against the pivot columns kept so far, with no pivot search: a
-sparse pivot kept early carries little fill into the columns reduced against
-it (Markowitz 1957).  It works on integer columns, fraction free: each
-column is brought once to integers, every step multiplies it by a nonzero
-integer before subtracting a pivot multiple, and kept pivots are primitive
-(the gcd of their entries is 1).  No floating point or modular arithmetic
-is used, so ranks and kernel dimensions are exact over Q.
+reduced against the pivot columns kept so far, and returns the pivots; rank
+counts them.  There is no pivot search: a sparse pivot kept early carries
+little fill into the columns reduced against it (Markowitz 1957).  It works
+on integer columns, fraction free: each column is brought once to integers,
+every step multiplies it by a nonzero integer before subtracting a pivot
+multiple, and kept pivots are primitive (the gcd of their entries is 1).  No
+floating point or modular arithmetic is used, so ranks and kernel dimensions
+are exact over Q.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ class SparseRationalMatrix:
         return f"SparseRationalMatrix({self.nrows}x{self.ncols}, {nnz} entries)"
 
 
-def rank(mat: SparseRationalMatrix) -> int:
-    """Exact rank over Q: column echelon by insertion, sparsest column first.
+def echelon(mat: SparseRationalMatrix) -> dict[int, dict[int, int]]:
+    """Column echelon form over Q by insertion, sparsest column first, as
+    {lowest row: primitive pivot column}, each column a {row: int} dict.
 
     Columns go by nonzero count, ties in index order (the order changes the
     fill, not the rank); mat is not changed.  A column of int entries is
@@ -95,7 +97,8 @@ def rank(mat: SparseRationalMatrix) -> int:
     col becomes b*col - a*pivot, a nonzero multiple of col plus a multiple
     of a pivot.  So a column reduces to zero exactly when it is a
     combination of the kept pivots, which are independent because their
-    lowest rows differ: the rank is the pivot count.
+    lowest rows differ: the pivot count is the rank.  Each pivot is a vector
+    of the column space of mat, nonzero at its lowest row.
     """
     pivots: dict[int, dict[int, int]] = {}  # lowest row -> primitive pivot column
     for given in sorted(mat.cols, key=len):
@@ -129,7 +132,12 @@ def rank(mat: SparseRationalMatrix) -> int:
                     col[r] = w
                 else:
                     del col[r]
-    return len(pivots)
+    return pivots
+
+
+def rank(mat: SparseRationalMatrix) -> int:
+    """Exact rank over Q: the number of pivots echelon keeps."""
+    return len(echelon(mat))
 
 
 def kernel_dim(mat: SparseRationalMatrix) -> int:

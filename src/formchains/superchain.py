@@ -329,14 +329,18 @@ class WeightedComplex:
                     add_term(out, tgt, (-mult if crossed % 2 else mult) * cf)
         return out
 
-    def boundary_matrix(self, m, w) -> SparseRationalMatrix:
+    def boundary_matrix(self, m, w, columns=None) -> SparseRationalMatrix:
         """The matrix of bd: C_m^w -> C_{m-1}^w in the enumerated bases.
 
         Columns and rows are the run keys of the basis walk; no flat
         product is built unless the boundary leaves the weight space, to
-        name it.  self.bracket is read here, at call time.
+        name it.  Given columns, a list of basis positions, only those are
+        assembled, column c of the matrix being the image of columns[c].
+        self.bracket is read here, at call time.
         """
         cols = self._run_keys(m, w)
+        if columns is not None:
+            cols = [cols[c] for c in columns]
         rows = self._run_keys(m - 1, w) if m >= 1 else []
         index = {key: r for r, key in enumerate(rows)}
         bracket = self.bracket

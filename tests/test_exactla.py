@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from formchains.exactla import (
     SparseRationalMatrix,
+    echelon,
     kernel_dim,
     rank,
 )
@@ -255,6 +257,24 @@ def test_matmul():
     assert prod == from_rows([[1, 2], [-1, 0]])
     with pytest.raises(ValueError):
         b @ from_rows([[1, 2, 3]])
+
+
+def test_echelon_pivots_are_primitive_column_space_vectors_at_their_lowest_rows():
+    m = from_rows([
+        [0, 2, 0, 1],
+        [Fraction(1, 2), 4, 1, 0],
+        [1, 0, 2, 3],
+        [0, 6, 0, 3],
+    ])
+    pivots = echelon(m)
+    assert len(pivots) == rank(m) == 3
+    for low, col in pivots.items():
+        assert min(col) == low and col[low] > 0
+        assert all(type(v) is int for v in col.values()) and gcd(*col.values()) == 1
+        # adding the pivot as a column leaves the rank unchanged
+        extended = from_rows([[*row, col.get(r, 0)] for r, row in enumerate(
+            [[m[r, c] for c in range(m.ncols)] for r in range(m.nrows)])])
+        assert rank(extended) == 3
 
 
 def test_add_accumulates_and_cancels():

@@ -2,12 +2,15 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import formchains
-from formchains.exactla import SparseRationalMatrix
+from formchains import exactla
+from formchains.exactla import SparseRationalMatrix, rank
+from formchains.extend import extended_complex
 from formchains.homology import (
     HomologyReport,
     betti_pattern_dim2,
@@ -22,6 +25,8 @@ from formchains.homology import (
     rank_formula_check,
 )
 from formchains.liealg import LieAlgebraSpec, catalog
+from formchains.polyforms import double_weight_complex, support_top
+from formchains.superchain import forms_complex
 
 # kernel and Betti rows of the five 3-dimensional classes, m = 1 .. -w,
 # frozen for w = -3, -5, -10
@@ -158,9 +163,10 @@ class DdNonzero:
     def dim(self, m, w):
         return 1 if m in (1, 2) else 0
 
-    def boundary_matrix(self, m, w):
+    def boundary_matrix(self, m, w, columns=None):
         self.matrices += 1
-        return SparseRationalMatrix(1, 1, {(0, 0): 1})
+        ncols = 1 if columns is None else len(columns)
+        return SparseRationalMatrix(1, ncols, {(0, c): 1 for c in range(ncols)})
 
 
 def test_negative_betti_raises():
@@ -194,6 +200,99 @@ def test_nonvanishing_top_fails_before_any_rank():
     with pytest.raises(ValueError, match="does not vanish above m = 1"):
         complex_homology(cx, -2, 1, "stub")
     assert cx.matrices == 0
+
+
+# [e1,e2]=e1, [e2,e3]=e2, [e1,e3]=e1 fails Jacobi, so bd o bd != 0 from w = -4 on
+NON_JACOBI_CONSTANTS = {(1, 2, 1): 1, (2, 3, 2): 1, (1, 3, 1): 1}
+NON_JACOBI = LieAlgebraSpec(3, NON_JACOBI_CONSTANTS)
+
+
+@pytest.mark.parametrize("w", range(-4, -10, -1))
+def test_dd_check_catches_a_non_jacobi_algebra(w):
+    with pytest.raises(ArithmeticError, match=f"at weight {w}: "):
+        betti_row(NON_JACOBI, w)
+
+
+def test_dd_check_catches_a_non_jacobi_algebra_under_python_O():
+    script = "\n".join([
+        "from formchains.homology import betti_row",
+        "from formchains.liealg import LieAlgebraSpec",
+        f"spec = LieAlgebraSpec(3, {NON_JACOBI_CONSTANTS!r})",
+        "print(__debug__)",
+        "for w in range(-4, -10, -1):",
+        "    try:",
+        "        betti_row(spec, w)",
+        "    except ArithmeticError as exc:",
+        "        print(exc)",
+        "    else:",
+        "        raise SystemExit(f'no ArithmeticError at w = {w}')",
+    ])
+    src = os.path.dirname(os.path.dirname(formchains.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        f"? at weight {w}" for w in range(-4, -10, -1)]
+
+
+def _poly_case(w, h, n, vectors=False):
+    top = support_top(w, h, n, vectors)
+    return double_weight_complex(n, h, top + 1, vectors), [((w, h), top)]
+
+
+# [e1,e2]=e2, [e1,e3]=e3, [e1,e4]=2e4, [e2,e3]=e4: a 4-dimensional solvable algebra
+SOLV4 = LieAlgebraSpec(4, {(1, 2, 2): 1, (1, 3, 3): 1, (1, 4, 4): 2, (2, 3, 4): 1})
+CLEARING_CASES = {
+    **{name: lambda name=name: (forms_complex(catalog(name)),
+                                [(w, -w) for w in range(-1, -21, -1)])
+       for name in ("so3", "sl2r", "d1n")},
+    "solv4": lambda: (forms_complex(SOLV4), [(w, -w) for w in range(-1, -12, -1)]),
+    **{name + "+T": lambda name=name: (extended_complex(catalog(name)),
+                                       [(w, 3 - w) for w in range(-1, -9, -1)])
+       for name in ("so3", "d1n")},
+    "poly2(-6,2)": lambda: _poly_case(-6, 2, 2),
+    "poly2+T(-1,-1)": lambda: _poly_case(-1, -1, 2, True),
+}
+
+
+@pytest.mark.parametrize("case", CLEARING_CASES)
+def test_cleared_ranks_equal_the_full_ranks(case):
+    cx, weights = CLEARING_CASES[case]()
+    for w, m_top in weights:
+        full = [rank(cx.boundary_matrix(m, w)) for m in range(1, m_top + 1)]
+        assert list(complex_homology(cx, w, m_top, case).ranks) == full, (case, w)
+
+
+def test_cleared_columns_are_never_assembled(monkeypatch):
+    # per degree m < m_top: the live columns, dim C_m - rank bd_{m+1}, and the
+    # support of the two sparsest pivots of bd_{m+1}, which the dd check reads
+    cx, w = forms_complex(catalog("so3")), -14
+    assembled, kept = Counter(), []
+    matrix, echelon = cx.boundary_matrix, exactla.echelon
+
+    def counting_matrix(m, w, columns=None):
+        assembled[m] += cx.dim(m, w) if columns is None else len(columns)
+        return matrix(m, w, columns)
+
+    def keeping_echelon(mat):
+        kept.append(echelon(mat))
+        return kept[-1]
+
+    cx.boundary_matrix = counting_matrix
+    monkeypatch.setattr(exactla, "echelon", keeping_echelon)
+    rep = complex_homology(cx, w, -w, "so3")
+    pivots = dict(zip(range(-w, 0, -1), kept))  # the degrees, top down
+    assert assembled[-w] == rep.dims[-1]
+    for m in range(1, -w):
+        above = pivots[m + 1]
+        support = set().union(*sorted(above.values(), key=len)[:2])
+        assert assembled[m] <= rep.dims[m - 1] - len(above) + len(support), m
+    # the checked columns are far fewer than the cleared ones
+    cleared = sum(rep.ranks[1:])
+    assert sum(assembled.values()) < sum(rep.dims) - cleared // 2
 
 
 def test_betti_row_alias_and_table():

@@ -10,7 +10,9 @@ from itertools import combinations_with_replacement, groupby, product
 import pytest
 
 from formchains import forms
+from formchains.exactla import SparseRationalMatrix
 from formchains.extend import extended_complex
+from formchains.homology import complex_homology
 from formchains.liealg import catalog
 from formchains.polyforms import double_weight_complex, poly_levels, support_top
 from formchains.superchain import (
@@ -470,13 +472,28 @@ def test_boundary_matrix_shapes():
     assert mat1.is_zero()
 
 
+def test_boundary_matrix_of_chosen_columns():
+    cx, w = extended_complex(catalog("so3")), -6
+    for m in range(1, -w + 4):
+        full, dim = cx.boundary_matrix(m, w), cx.dim(m, w)
+        # out of order, and one column twice
+        columns = [c for c in range(dim) if c % 3] + [0, dim - 1] if dim else []
+        pick = SparseRationalMatrix(dim, len(columns),
+                                    {(c, j): 1 for j, c in enumerate(columns)})
+        assert cx.boundary_matrix(m, w, columns) == full @ pick, m
+    assert cx.boundary_matrix(2, w, []).ncols == 0
+
+
 def test_boundary_outside_the_weight_space_is_rejected():
     # [a, a] = a is not homogeneous: bd(a^2) lands at weight -1, not -2
     levels = [Level(-1, (-1,), ("a",)), Level(-2, (-2,), ("b",))]
     cx = WeightedComplex(levels, lambda x, y: {"a": 1} if x == y == "a" else {})
-    with pytest.raises(AssertionError, match=re.escape(
-            "boundary left the space of weight -2: ('a', 'a') -> ('a',)")):
+    message = re.escape("boundary left the space of weight -2: ('a', 'a') -> ('a',)")
+    with pytest.raises(AssertionError, match=message):
         cx.boundary_matrix(2, -2)
+    # the ranks assemble the top degree in full, so the guard holds there too
+    with pytest.raises(AssertionError, match=message):
+        complex_homology(cx, -2, 2, "a")
 
 
 def test_token_system_brackets_each_pair_once():
