@@ -35,6 +35,15 @@ class SparseRationalMatrix:
             for (r, c), v in items:
                 self.add(r, c, v)
 
+    @classmethod
+    def from_columns(cls, nrows: int, cols: list) -> "SparseRationalMatrix":
+        """The nrows x len(cols) matrix whose column c is the dict cols[c],
+        taken as it is, not copied: each {row: value} with 0 <= row < nrows
+        and every value a nonzero int or Fraction."""
+        mat = cls(nrows, 0)
+        mat.ncols, mat.cols = len(cols), cols
+        return mat
+
     @property
     def entries(self) -> dict[tuple[int, int], int | Fraction]:
         return {(r, c): v for c, col in enumerate(self.cols) for r, v in col.items()}

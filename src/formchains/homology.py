@@ -9,7 +9,7 @@ with bd_m : C_m -> C_{m-1}.  Everything is computed over Q, so the numbers
 here are exact.  The ranks go from the top degree down with clearing (Chen
 and Kerber, "Persistent homology computation with a twist", 2011): a column
 of bd_m at a pivot row of bd_{m+1} adds nothing to rank bd_m, so it is never
-assembled.  bd o bd = 0 is checked exactly on two pivots per degree, and no
+assembled.  bd o bd = 0 is checked exactly on three pivots per degree, and no
 Betti number may be negative; both checks survive python -O.  For the five
 isomorphism classes of 3-dimensional Lie algebras there are closed-form rank
 predictions (binomial expressions); they are kept alongside the computed
@@ -57,7 +57,7 @@ def complex_homology(cx, w, m_top, name):
     row of bd_{m+1}, and only those are assembled and eliminated; the top
     degree is assembled in full.
 
-    bd_m z = 0 is checked exactly, also under python -O, for the two
+    bd_m z = 0 is checked exactly, also under python -O, for the three
     sparsest pivots z of bd_{m+1} (ties in pivot order): a sample, as a
     cleared column is never assembled.  A failure raises ArithmeticError,
     as does a negative Betti number.
@@ -79,7 +79,7 @@ def complex_homology(cx, w, m_top, name):
         pivots = exactla.echelon(cx.boundary_matrix(m, w, live))
         ranks.append(len(pivots))
         # keep only what the next degree reads, before it is assembled
-        cleared, checks = set(pivots), sorted(pivots.values(), key=len)[:2]
+        cleared, checks = set(pivots), sorted(pivots.values(), key=len)[:3]
         del pivots
     return _report(name, w, dims, ranks[::-1])
 

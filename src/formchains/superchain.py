@@ -16,7 +16,8 @@ grade, ascending token.
 
 One class, WeightedComplex, holds a list of levels, each the tokens of one
 grade and weight.  It counts every C_m^w without enumerating, walks a basis
-only where the count is nonzero, and assembles the boundary matrices.
+from one nonzero count state to the next, a pick from one level per step,
+and assembles the boundary matrices.
 
 Inside the class a monomial is a run key: a tuple of (id, multiplicity)
 pairs in id order, where a token's id is its index in the canonical order
@@ -83,12 +84,13 @@ class WeightedComplex:
     even level of c tokens gives ways_j = C(c, j) and an odd one
     C(c + j - 1, j).  Per-coordinate min/max weights of the remaining levels
     answer most zero states in O(1); the counts are memoized per complex.
-    The walk lists run keys only where the count is nonzero, so its cost
-    follows the output; basis expands them into canonical product tuples,
-    and boundary_matrix assembles from the keys themselves.  The cap
-    applies to every dim, and so to every basis.
+    The walk steps between nonzero count states only, one pick per step, so
+    its cost follows the output; basis expands its run keys into canonical
+    product tuples, and boundary_matrix assembles from the keys themselves.
+    The cap applies to every dim, and so to every basis.
 
-    bracket(a, b) returns {token: coefficient}; each pair is computed at most
+    bracket(a, b) returns {token: coefficient}, each coefficient an int or a
+    Fraction, as boundary_matrix stores them; each pair is computed at most
     once, on first use, and the result is shared, so callers must not mutate
     it.  Callers that only count or list monomials pass None.
     """
@@ -202,38 +204,52 @@ class WeightedComplex:
         """The run keys of the degree-m monomials of weight w, memoized,
         after the cap check.
 
-        The walk picks j tokens from each level in turn and descends only
-        where N of the rest is nonzero, so every node it visits emits.  It
-        reads N of the rest from the memo that dim has just filled (dim
-        expands every state it needs); a miss would skip a child and fail
-        the count check below, never give a wrong basis.
+        The walk steps from one nonzero count state (idx, k, w) to the next:
+        a step takes j >= 1 tokens from one level i >= idx, none from idx ..
+        i - 1, and is kept when N(i + 1, k - j, w - j * weight(i)) != 0.  The
+        scan of i stops at the first N(i, k, w) = 0, as N(i + 1, k, w) <=
+        N(i, k, w) (taking none is a term).  So every node is a pick that
+        leads to a key.  Steps are memoized per state for one call; they go
+        later levels first, then j and picks ascending, the order of a walk
+        level by level with j = 0 first.  Each count read is of a state dim
+        expanded, so a memo miss is a zero; a wrong one would fail the count
+        check below, never give a wrong basis.
         """
         mw = (m, _as_tuple(w))
         if mw in self._key_cache:
             return self._key_cache[mw]
         size = self.dim(m, w)
-        levels, weights = self.levels, self._weights
+        levels, weights, known = self.levels, self._weights, self._known
+        steps = {}  # state -> its steps, (child, picks), in the order they are pushed
         out = []
 
-        # depth first, on an explicit stack instead of one call per level
-        stack = [(0, m, mw[1], ())] if size else []
+        # depth first, on an explicit stack instead of one call per step
+        stack = [((0, m, mw[1]), ())] if size else []
         while stack:
-            idx, k_rem, w_rem, chosen = stack.pop()
+            state, chosen = stack.pop()
+            idx, k_rem, w_rem = state
             if k_rem == 0:
                 # the picks of all levels, in id (canonical) order
                 out.append(tuple(sorted(chosen)))
                 continue
-            lv, wv = levels[idx], weights[idx]
-            kmax = k_rem if lv.capacity is None else min(k_rem, lv.capacity)
-            kids = []
-            for k in range(kmax + 1):
-                w2 = tuple(x - k * y for x, y in zip(w_rem, wv))
-                if not self._known((idx + 1, k_rem - k, w2)):
-                    continue
-                for pick in self._picks(idx, k):
-                    kids.append((idx + 1, k_rem - k, w2, chosen + pick))
-            # popped last first, so the children come out in order
-            stack.extend(reversed(kids))
+            kids = steps.get(state)
+            if kids is None:
+                kids = steps[state] = []
+                i = idx
+                while True:
+                    lv, wv = levels[i], weights[i]
+                    jmax = k_rem if lv.capacity is None else min(k_rem, lv.capacity)
+                    for j in range(jmax, 0, -1):
+                        child = (i + 1, k_rem - j, tuple(x - j * y for x, y in zip(w_rem, wv)))
+                        if known(child):
+                            kids.append((child, self._picks(i, j)))
+                    # N(i, k, w) = 0 makes every later level's zero too
+                    i += 1
+                    if not known((i, k_rem, w_rem)):
+                        break
+            # popped last first: later levels, then j and picks ascending
+            for child, picks in kids:
+                stack.extend([(child, chosen + pick) for pick in reversed(picks)])
         # always on, also under python -O: the walk must list what was counted
         if len(out) != size:
             raise ArithmeticError(
@@ -344,16 +360,19 @@ class WeightedComplex:
         rows = self._run_keys(m - 1, w) if m >= 1 else []
         index = {key: r for r, key in enumerate(rows)}
         bracket = self.bracket
-        mat = SparseRationalMatrix(len(rows), len(cols))
-        for c, key in enumerate(cols):
+        out = []
+        for key in cols:
+            col = {}
             for tgt, cf in self._image(key, bracket).items():
-                if tgt not in index:
+                r = index.get(tgt)
+                if r is None:
                     raise AssertionError(
                         f"boundary left the space of weight {w}: "
                         f"{self._flat(key)} -> {self._flat(tgt)}"
                     )
-                mat.add(index[tgt], c, cf)
-        return mat
+                col[r] = cf
+            out.append(col)
+        return SparseRationalMatrix.from_columns(len(rows), out)
 
 
 def enumerate_monomials(levels, m, weight, cap=None):

@@ -148,6 +148,65 @@ def test_warm_poly_bases_match_oracle(vectors, grid):
         assert_warm_bases_match_oracle(levels, [(m, (w, h)) for m in range(top + 2)], seed)
 
 
+# --- bases over weights of four coordinates -----------------------------------
+
+def multidegree(token):
+    """alpha + 1_A for a form x^alpha dx^A, alpha - e_i for a vector field
+    x^alpha d/dx_i (a tail that is an int i)."""
+    alpha, tail = token
+    if isinstance(tail, int):
+        return tuple(a - (i == tail) for i, a in enumerate(alpha, start=1))
+    return tuple(a + (i in tail) for i, a in enumerate(alpha, start=1))
+
+
+def multidegree_levels(levels):
+    """Each level split by the multidegree of its tokens, weight (grade, s, d1, d2)."""
+    out = []
+    for lv in levels:
+        split = {}
+        for t in lv.tokens:
+            split.setdefault(multidegree(t), []).append(t)
+        out += [Level(lv.grade, (*lv.weight, *d), tuple(ts)) for d, ts in split.items()]
+    return out
+
+
+def multidegree_cases(w, h, vectors, m_max):
+    """The split levels of C^{w,h} on R^2, and every (m, (w, h, d1, d2)) with
+    m <= m_max whose block is nonzero, and block 0, (w, h, 0, 0), at each m."""
+    top = support_top(w, h, 2, vectors)
+    levels = poly_levels(2, top + 1, h, vectors)
+    whole = WeightedComplex(levels, zero_bracket)
+    split = WeightedComplex(multidegree_levels(levels), zero_bracket)
+    cases = set()
+    for m in range(min(top + 1, m_max) + 1):
+        blocks = {(0, 0): 0}
+        for mono in whole.basis(m, (w, h)):
+            d = tuple(map(sum, zip(*map(multidegree, mono)))) if mono else (0, 0)
+            blocks[d] = blocks.get(d, 0) + 1
+        # the blocks partition the space
+        assert {d: split.dim(m, (w, h, *d)) for d in blocks} == blocks, m
+        cases |= {(m, (w, h, *d)) for d in blocks}
+    return split.levels, sorted(cases)
+
+
+# the old walker is slow on the many split vector-field levels: the cheap degrees only
+MULTIDEGREE_GRID = [(w, h, False, 10) for w in (-3, -2, -1) for h in (w, -1, 0, 1)] + [
+    (w, h, True, 5) for w, h in [(-1, -1), (-2, -2), (0, -1), (0, -2)]]
+
+
+@pytest.mark.parametrize("w, h, vectors, m_max", MULTIDEGREE_GRID)
+def test_multidegree_bases_match_oracle(w, h, vectors, m_max):
+    levels, cases = multidegree_cases(w, h, vectors, m_max)
+    assert {len(lv.weight) for lv in levels} == {4}
+    assert_bases_match_oracle(levels, cases)
+
+
+@pytest.mark.parametrize("w, h, vectors, m_max", MULTIDEGREE_GRID)
+def test_warm_multidegree_bases_match_oracle(w, h, vectors, m_max):
+    levels, cases = multidegree_cases(w, h, vectors, m_max)
+    assert_warm_bases_match_oracle(levels, cases, w - h)
+
+
 # --- dims against the super-Hilbert series -------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

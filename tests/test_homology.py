@@ -202,30 +202,34 @@ def test_nonvanishing_top_fails_before_any_rank():
     assert cx.matrices == 0
 
 
-# [e1,e2]=e1, [e2,e3]=e2, [e1,e3]=e1 fails Jacobi, so bd o bd != 0 from w = -4 on
-NON_JACOBI_CONSTANTS = {(1, 2, 1): 1, (2, 3, 2): 1, (1, 3, 1): 1}
-NON_JACOBI = LieAlgebraSpec(3, NON_JACOBI_CONSTANTS)
+# [e1,e2]=e1, [e2,e3]=e2, [e1,e3]=e1 fails Jacobi, so bd o bd != 0 from w = -4 on;
+# in the second, the two sparsest of bd_4's three pivots at w = -5 pass the check
+NON_JACOBI_CONSTANTS = [{(1, 2, 1): 1, (2, 3, 2): 1, (1, 3, 1): 1},
+                        {(1, 2, 2): 1, (1, 3, 3): -1, (2, 3, 1): -1, (2, 3, 3): 2}]
+NON_JACOBI = [LieAlgebraSpec(3, constants) for constants in NON_JACOBI_CONSTANTS]
 
 
 @pytest.mark.parametrize("w", range(-4, -10, -1))
 def test_dd_check_catches_a_non_jacobi_algebra(w):
-    with pytest.raises(ArithmeticError, match=f"at weight {w}: "):
-        betti_row(NON_JACOBI, w)
+    for spec in NON_JACOBI:
+        with pytest.raises(ArithmeticError, match=f"at weight {w}: "):
+            betti_row(spec, w)
 
 
 def test_dd_check_catches_a_non_jacobi_algebra_under_python_O():
     script = "\n".join([
         "from formchains.homology import betti_row",
         "from formchains.liealg import LieAlgebraSpec",
-        f"spec = LieAlgebraSpec(3, {NON_JACOBI_CONSTANTS!r})",
         "print(__debug__)",
-        "for w in range(-4, -10, -1):",
-        "    try:",
-        "        betti_row(spec, w)",
-        "    except ArithmeticError as exc:",
-        "        print(exc)",
-        "    else:",
-        "        raise SystemExit(f'no ArithmeticError at w = {w}')",
+        f"for constants in {NON_JACOBI_CONSTANTS!r}:",
+        "    spec = LieAlgebraSpec(3, constants)",
+        "    for w in range(-4, -10, -1):",
+        "        try:",
+        "            betti_row(spec, w)",
+        "        except ArithmeticError as exc:",
+        "            print(exc)",
+        "        else:",
+        "            raise SystemExit(f'no ArithmeticError at w = {w}')",
     ])
     src = os.path.dirname(os.path.dirname(formchains.__file__))
     proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -235,7 +239,7 @@ def test_dd_check_catches_a_non_jacobi_algebra_under_python_O():
     lines = proc.stdout.splitlines()
     assert lines[0] == "False"
     assert [line.split(":")[0] for line in lines[1:]] == [
-        f"? at weight {w}" for w in range(-4, -10, -1)]
+        f"? at weight {w}" for w in range(-4, -10, -1)] * len(NON_JACOBI_CONSTANTS)
 
 
 def _poly_case(w, h, n, vectors=False):
@@ -268,7 +272,7 @@ def test_cleared_ranks_equal_the_full_ranks(case):
 
 def test_cleared_columns_are_never_assembled(monkeypatch):
     # per degree m < m_top: the live columns, dim C_m - rank bd_{m+1}, and the
-    # support of the two sparsest pivots of bd_{m+1}, which the dd check reads
+    # support of the three sparsest pivots of bd_{m+1}, which the dd check reads
     cx, w = forms_complex(catalog("so3")), -14
     assembled, kept = Counter(), []
     matrix, echelon = cx.boundary_matrix, exactla.echelon
@@ -288,7 +292,7 @@ def test_cleared_columns_are_never_assembled(monkeypatch):
     assert assembled[-w] == rep.dims[-1]
     for m in range(1, -w):
         above = pivots[m + 1]
-        support = set().union(*sorted(above.values(), key=len)[:2])
+        support = set().union(*sorted(above.values(), key=len)[:3])
         assert assembled[m] <= rep.dims[m - 1] - len(above) + len(support), m
     # the checked columns are far fewer than the cleared ones
     cleared = sum(rep.ranks[1:])
