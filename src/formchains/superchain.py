@@ -235,17 +235,15 @@ class WeightedComplex:
             kids = steps.get(state)
             if kids is None:
                 kids = steps[state] = []
-                i = idx
-                while True:
+                for i in range(idx, len(levels)):
                     lv, wv = levels[i], weights[i]
                     jmax = k_rem if lv.capacity is None else min(k_rem, lv.capacity)
                     for j in range(jmax, 0, -1):
                         child = (i + 1, k_rem - j, tuple(x - j * y for x, y in zip(w_rem, wv)))
                         if known(child):
                             kids.append((child, self._picks(i, j)))
-                    # N(i, k, w) = 0 makes every later level's zero too
-                    i += 1
-                    if not known((i, k_rem, w_rem)):
+                    # N(i + 1, k, w) = 0 makes every later level's zero too
+                    if not known((i + 1, k_rem, w_rem)):
                         break
             # popped last first: later levels, then j and picks ascending
             for child, picks in kids:
