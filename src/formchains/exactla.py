@@ -36,10 +36,8 @@ class SparseRationalMatrix:
                 self.add(r, c, v)
 
     @classmethod
-    def from_columns(cls, nrows: int, cols: list) -> "SparseRationalMatrix":
-        """The nrows x len(cols) matrix whose column c is the dict cols[c],
-        taken as it is, not copied: each {row: value} with 0 <= row < nrows
-        and every value a nonzero int or Fraction."""
+    def from_columns(cls, nrows, cols):
+        """Adopt cols, {row < nrows: nonzero int or Fraction} dicts, as columns."""
         mat = cls(nrows, 0)
         mat.ncols, mat.cols = len(cols), cols
         return mat

@@ -16,8 +16,7 @@ grade, ascending token.
 
 One class, WeightedComplex, holds a list of levels, each the tokens of one
 grade and weight.  It counts every C_m^w without enumerating, walks a basis
-from one nonzero count state to the next, a pick from one level per step,
-and assembles the boundary matrices.
+from one nonzero count state to the next, and assembles the boundaries.
 
 Inside the class a monomial is a run key: a tuple of (id, multiplicity)
 pairs in id order, where a token's id is its index in the canonical order
@@ -84,15 +83,13 @@ class WeightedComplex:
     even level of c tokens gives ways_j = C(c, j) and an odd one
     C(c + j - 1, j).  Per-coordinate min/max weights of the remaining levels
     answer most zero states in O(1); the counts are memoized per complex.
-    The walk steps between nonzero count states only, one pick per step, so
-    its cost follows the output; basis expands its run keys into canonical
-    product tuples, and boundary_matrix assembles from the keys themselves.
-    The cap applies to every dim, and so to every basis.
+    The walk steps between nonzero count states only, so its cost follows
+    the output; basis expands its keys into canonical product tuples, and
+    boundary_matrix assembles from the keys.  The cap applies to every dim.
 
-    bracket(a, b) returns {token: coefficient}, each coefficient an int or a
-    Fraction, as boundary_matrix stores them; each pair is computed at most
-    once, on first use, and the result is shared, so callers must not mutate
-    it.  Callers that only count or list monomials pass None.
+    bracket(a, b) returns {token: int or Fraction}; each pair is computed
+    at most once, on first use, and the result is shared, so callers must
+    not mutate it.  Callers that only count or list monomials pass None.
     """
 
     def __init__(self, levels, bracket, cap=None):
@@ -204,31 +201,22 @@ class WeightedComplex:
         """The run keys of the degree-m monomials of weight w, memoized,
         after the cap check.
 
-        The walk steps from one nonzero count state (idx, k, w) to the next:
+        The walk goes from one nonzero count state (idx, k, w) to the next:
         a step takes j >= 1 tokens from one level i >= idx, none from idx ..
-        i - 1, and is kept when N(i + 1, k - j, w - j * weight(i)) != 0.  The
-        scan of i stops at the first N(i, k, w) = 0, as N(i + 1, k, w) <=
-        N(i, k, w) (taking none is a term).  So every node is a pick that
-        leads to a key.  Steps are memoized per state for one call; they go
-        later levels first, then j and picks ascending, the order of a walk
-        level by level with j = 0 first.  Each count read is of a state dim
-        expanded, so a memo miss is a zero; a wrong one would fail the count
-        check below, never give a wrong basis.
+        i - 1, and needs N(i + 1, k - j, w - j * weight(i)) != 0.
         """
         mw = (m, _as_tuple(w))
         if mw in self._key_cache:
             return self._key_cache[mw]
         size = self.dim(m, w)
         levels, weights, known = self.levels, self._weights, self._known
-        steps = {}  # state -> its steps, (child, picks), in the order they are pushed
-        out = []
-
+        steps, out = {}, []  # state -> its (child, picks), for this call
         # depth first, on an explicit stack instead of one call per step
         stack = [((0, m, mw[1]), ())] if size else []
         while stack:
             state, chosen = stack.pop()
-            idx, k_rem, w_rem = state
-            if k_rem == 0:
+            idx, k, w_rem = state
+            if k == 0:
                 # the picks of all levels, in id (canonical) order
                 out.append(tuple(sorted(chosen)))
                 continue
@@ -236,14 +224,13 @@ class WeightedComplex:
             if kids is None:
                 kids = steps[state] = []
                 for i in range(idx, len(levels)):
-                    lv, wv = levels[i], weights[i]
-                    jmax = k_rem if lv.capacity is None else min(k_rem, lv.capacity)
-                    for j in range(jmax, 0, -1):
-                        child = (i + 1, k_rem - j, tuple(x - j * y for x, y in zip(w_rem, wv)))
+                    cap = levels[i].capacity
+                    for j in range(k if cap is None else min(k, cap), 0, -1):
+                        child = (i + 1, k - j, tuple(x - j * y for x, y in zip(w_rem, weights[i])))
                         if known(child):
                             kids.append((child, self._picks(i, j)))
-                    # N(i + 1, k, w) = 0 makes every later level's zero too
-                    if not known((i + 1, k_rem, w_rem)):
+                    # N(i + 1, k, w) <= N(i, k, w) (take none), so stop at a 0
+                    if not known((i + 1, k, w_rem)):
                         break
             # popped last first: later levels, then j and picks ascending
             for child, picks in kids:
@@ -360,16 +347,14 @@ class WeightedComplex:
         bracket = self.bracket
         out = []
         for key in cols:
-            col = {}
+            out.append(col := {})
             for tgt, cf in self._image(key, bracket).items():
-                r = index.get(tgt)
-                if r is None:
+                if tgt not in index:
                     raise AssertionError(
                         f"boundary left the space of weight {w}: "
                         f"{self._flat(key)} -> {self._flat(tgt)}"
                     )
-                col[r] = cf
-            out.append(col)
+                col[index[tgt]] = cf
         return SparseRationalMatrix.from_columns(len(rows), out)
 
 
