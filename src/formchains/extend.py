@@ -17,6 +17,7 @@ of vector factors and dies above m = -w + n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .forms import add_into, ext_d, interior, super_bracket
@@ -105,8 +106,9 @@ class JacobiReport:
 
 
 def check_system_jacobi(cx):
-    """Exhaustive super Jacobi over all basis-token triples of a complex."""
-    br = cx.bracket
+    """Exhaustive super Jacobi over all basis-token triples of a complex,
+    each ordered pair bracketed once."""
+    br = cache(cx.bracket)
     toks = cx.tokens
     checked = 0
     for x in toks:

@@ -23,7 +23,7 @@ pairs in id order, where a token's id is its index in the canonical order
 (a long 1^k run in deep form weights is one pair).  The walk emits run keys
 and boundary_matrix reads them; only basis expands them into canonical
 product tuples, the form every public function returns.  Boundaries are
-assembled per pair of runs: one bracket call and one insertion per bracket
+assembled per pair of runs: one memo read and one insertion per bracket
 term, the position-pair signs folded into one integer coefficient and the
 insertion sign read off prefix counts of the key.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from fractions import Fraction
 from itertools import accumulate, combinations, combinations_with_replacement, groupby
 from math import comb
 
@@ -87,9 +87,9 @@ class WeightedComplex:
     the output; basis expands its keys into canonical product tuples, and
     boundary_matrix assembles from the keys.  The cap applies to every dim.
 
-    bracket(a, b) returns {token: int or Fraction}; each pair is computed
-    at most once, on first use, and the result is shared, so callers must
-    not mutate it.  Callers that only count or list monomials pass None.
+    bracket(a, b) returns {token: int or Fraction}, else boundary_matrix
+    raises TypeError; it is called once per pair, its terms kept by ids until
+    self.bracket is set anew.  Callers that only count or list pass None.
     """
 
     def __init__(self, levels, bracket, cap=None):
@@ -116,7 +116,8 @@ class WeightedComplex:
         self._box = [tuple(zip(mins, maxs)) for mins, maxs in zip(lo, hi)]
         self._counts: dict = {}
         self.cap = cap
-        self.bracket = bracket and cache(bracket)
+        self.bracket = bracket
+        self._terms = (bracket, {})  # its memo {id_a * n + id_b: ((id, cf), ...)}
         self._pick_cache: dict = {}  # (level index, j) -> the run keys of its j-token picks
         self._key_cache: dict = {}   # (m, w) -> the run keys of the basis
         self._basis_cache: dict = {}
@@ -261,8 +262,9 @@ class WeightedComplex:
             self._basis_cache[mw] = [self._flat(key) for key in self._run_keys(m, w)]
         return self._basis_cache[mw]
 
-    def _image(self, key, bracket):
-        """bd of one product, from its run key, as {run key: coefficient}.
+    def _image(self, key, index):
+        """bd of one product, from its run key: {row in index: coefficient},
+        and {run key: coefficient} of the terms not in index.
 
         The key has no repeated even factor, as every basis key.  bracket(A,
         B) must be homogeneous of grade a + b.
@@ -270,7 +272,7 @@ class WeightedComplex:
         Position pairs i < j are summed per pair of runs of equal factors
         (run a: k_a copies of A_a from position s_a, counting from 0).
         Every pair of one run pair drops the same two factors, so a run pair
-        gets one bracket call, one rest and one insertion per bracket term,
+        gets one memo read, one rest and one insertion per bracket term,
         at the first j; and its position pairs all have one sign:
         - over i, in an odd run the exponent i + a_i(a_{i+1}+...+a_{j-1})
           does not move (each step adds 2), and an even run has k_a = 1;
@@ -286,18 +288,25 @@ class WeightedComplex:
         max(t, id_b)), only the even ones if t is odd; an even t that meets
         its equal kills the term.
         """
-        tokens, ids, odd = self.tokens, self._ids, self._odd
+        tokens, ids, odd, n = self.tokens, self._ids, self._odd, len(self.tokens)
+        bracket, terms = self._terms
         # factors before each run (and before the end): all, and the even ones
         starts, evens = [0], [0]
         for i, k in key:
             starts.append(starts[-1] + k)
             evens.append(evens[-1] + (0 if odd[i] else k))
-        out: dict = {}
+        col, aside = {}, {}
         for a, (ia, ka) in enumerate(key):
             pa = odd[ia]
             for b in range(a if ka > 1 else a + 1, len(key)):
                 ib, kb = key[b]
-                br = bracket(tokens[ia], tokens[ib])
+                br = terms.get(p := ia * n + ib)
+                if br is None:
+                    ab = tokens[ia], tokens[ib]
+                    br = tuple((ids[t], cf) for t, cf in bracket(*ab).items())
+                    if bad := [cf for _, cf in br if not isinstance(cf, (int, Fraction))]:
+                        raise TypeError(f"bracket{ab!r} has the non-exact coefficient {bad[0]!r}")
+                    terms[p] = br
                 if not br:
                     continue
                 if a == b:
@@ -309,8 +318,7 @@ class WeightedComplex:
                     mult = (ka * _sign(1 + odds) if pa else 1) * kb
                 mult *= _sign(starts[a])
                 rest = _drop(_drop(key, b), a)
-                for tok, cf in br.items():
-                    t = ids[tok]
+                for t, cf in br:
                     y = bisect_left(rest, (t,))
                     if y < len(rest) and rest[y][0] == t:
                         if not odd[t]:
@@ -327,8 +335,13 @@ class WeightedComplex:
                                    + ((ia < t) + (a != b)) * (1 - pa))
                     else:
                         crossed = starts[x] + starts[b] + (ib < t) + (ia < t) + (a != b)
-                    add_term(out, tgt, (-mult if crossed % 2 else mult) * cf)
-        return out
+                    row = index.get(tgt)
+                    cf *= -mult if crossed % 2 else mult
+                    if row is None:
+                        add_term(aside, tgt, cf)
+                    else:
+                        add_term(col, row, cf)
+        return col, aside
 
     def boundary_matrix(self, m, w, columns=None) -> SparseRationalMatrix:
         """The matrix of bd: C_m^w -> C_{m-1}^w in the enumerated bases.
@@ -344,17 +357,17 @@ class WeightedComplex:
             cols = [cols[c] for c in columns]
         rows = self._run_keys(m - 1, w) if m >= 1 else []
         index = {key: r for r, key in enumerate(rows)}
-        bracket = self.bracket
+        if self._terms[0] is not self.bracket:
+            self._terms = (self.bracket, {})
         out = []
         for key in cols:
-            out.append(col := {})
-            for tgt, cf in self._image(key, bracket).items():
-                if tgt not in index:
-                    raise AssertionError(
-                        f"boundary left the space of weight {w}: "
-                        f"{self._flat(key)} -> {self._flat(tgt)}"
-                    )
-                col[index[tgt]] = cf
+            col, aside = self._image(key, index)
+            if aside:
+                raise AssertionError(
+                    f"boundary left the space of weight {w}: "
+                    f"{self._flat(key)} -> {self._flat(next(iter(aside)))}"
+                )
+            out.append(col)
         return SparseRationalMatrix.from_columns(len(rows), out)
 
 

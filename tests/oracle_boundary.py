@@ -13,6 +13,7 @@ matrix_of builds a boundary matrix from any of them and the flat bases.
 """
 
 from bisect import bisect_left
+from functools import cache
 
 from formchains.exactla import SparseRationalMatrix
 from formchains.forms import _sign, add_term
@@ -179,12 +180,13 @@ def boundary_via_left_action(mono, grade_of, bracket) -> dict:
 
 def matrix_of(cx, m, w, image):
     """The matrix of bd: C_m^w -> C_{m-1}^w in cx's flat bases, each column
-    image(monomial, cx.grade_of, cx.bracket)."""
+    image(monomial, cx.grade_of, cx.bracket), each pair bracketed once."""
+    bracket = cache(cx.bracket)
     cols = cx.basis(m, w)
     rows = cx.basis(m - 1, w) if m >= 1 else []
     index = {mono: r for r, mono in enumerate(rows)}
     mat = SparseRationalMatrix(len(rows), len(cols))
     for c, mono in enumerate(cols):
-        for tgt, cf in image(mono, cx.grade_of, cx.bracket).items():
+        for tgt, cf in image(mono, cx.grade_of, bracket).items():
             mat.add(index[tgt], c, cf)
     return mat

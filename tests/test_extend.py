@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -153,6 +154,22 @@ def test_extended_jacobi_negative_control():
     assert not rep.ok
     assert rep.first_violation is not None
     assert "FAILS" in rep.summary()
+
+
+def test_system_jacobi_brackets_each_pair_at_most_once():
+    # a triple loop reads every ordered pair again and again; the raw
+    # bracket must see each one once
+    cx, calls = forms_complex(catalog("so3")), Counter()
+    inner = cx.bracket
+
+    def counting(a, b):
+        calls[(a, b)] += 1
+        return inner(a, b)
+
+    cx.bracket = counting
+    rep = check_system_jacobi(cx)
+    assert rep.ok and rep.checked == len(cx.tokens) ** 3
+    assert len(calls) == len(cx.tokens) ** 2 and set(calls.values()) == {1}
 
 
 # --- extended chain spaces --------------------------------------------------------

@@ -141,7 +141,8 @@ def test_matrix_layout_stays_in_exactla(path):
     assert layout_reads(path.read_text()) == []
 
 
-RUN_KEY_INTERNALS = ("_run_keys", "_key_cache", "_picks", "_pick_cache", "_image", "_flat", "_ids")
+RUN_KEY_INTERNALS = ("_run_keys", "_key_cache", "_picks", "_pick_cache", "_image", "_flat", "_ids",
+                     "_terms")
 
 
 def run_key_reads(source):

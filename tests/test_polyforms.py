@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -488,6 +489,7 @@ def test_euler_field_is_a_contracting_homotopy(n, w, h):
     m_top = support_top(w, h, n, True)
     cx = double_weight_complex(n, h, m_top + 2, include_vectors=True)
     euler = [(tuple(int(j == i) for j in range(n)), i + 1) for i in range(n)]
+    bracket = cache(cx.bracket)
 
     def eps(chain):
         out = {}
@@ -501,7 +503,7 @@ def test_euler_field_is_a_contracting_homotopy(n, w, h):
     def bd(chain):
         out = {}
         for mono, cf in chain.items():
-            add_into(out, boundary_of_monomial(mono, cx.grade_of, cx.bracket), cf)
+            add_into(out, boundary_of_monomial(mono, cx.grade_of, bracket), cf)
         return out
 
     for m in range(m_top + 1):

@@ -5,7 +5,8 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, product
+from functools import cache
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -379,14 +380,15 @@ def test_double_sum_equals_left_action(name):
 def assert_images_match_oracle(cx, w, degrees, reference=oracle.boundary_by_sorting):
     # the run-pair oracle on each flat monomial, and the matching column of
     # boundary_matrix, read back through the flat bases, equal the reference
+    bracket = cache(cx.bracket)
     for m in degrees:
         cols, rows = cx.basis(m, w), cx.basis(m - 1, w)
         columns = [{} for _ in cols]
         for (r, c), v in cx.boundary_matrix(m, w).entries.items():
             columns[c][rows[r]] = v
         for mono, column in zip(cols, columns):
-            want = reference(mono, cx.grade_of, cx.bracket)
-            assert boundary_of_monomial(mono, cx.grade_of, cx.bracket) == want, (w, mono)
+            want = reference(mono, cx.grade_of, bracket)
+            assert boundary_of_monomial(mono, cx.grade_of, bracket) == want, (w, mono)
             assert column == want, (w, mono)
 
 
@@ -514,30 +516,78 @@ def test_token_system_brackets_each_pair_once():
 def test_a_bracket_wrapped_after_construction_sees_every_call():
     # the benchmark counts bracket calls by replacing cx.bracket on the
     # instance; boundary_matrix must read it at call time and call it once
-    # per pair of runs of each basis monomial, as the run-pair oracle does
-    g, w = catalog("so3"), -8
+    # per ordered token pair of the complex, however often the pair recurs,
+    # on the pairs of runs the run-pair oracle brackets
+    g = catalog("so3")
     cx, plain = forms_complex(g), forms_complex(g)
     inner = cx.bracket
+
+    def counted(calls):
+        def bracket(a, b):
+            calls[(a, b)] += 1
+            return inner(a, b)
+        return bracket
+
+    def pairs_of(weights):
+        pairs = Counter()
+        for w in weights:
+            for m in range(1, -w + 1):
+                for mono in plain.basis(m, w):
+                    boundary_of_monomial(mono, gr, counted(pairs))
+        return pairs
+
+    def matrices(of, w):
+        return [of.boundary_matrix(m, w) for m in range(1, -w + 1)]
+
     calls = Counter()
+    cx.bracket = counted(calls)
+    mats = matrices(cx, -8)
+    assert matrices(cx, -8) == mats == matrices(plain, -8)
+    oracle_calls = pairs_of([-8])
+    assert set(calls.values()) == {1} and calls.keys() == oracle_calls.keys()
+    # the oracle brackets a pair once per basis monomial holding it
+    assert (len(calls), sum(oracle_calls.values())) == (32, 220)
+    # more weights bracket only the pairs not seen before
+    for w in (-6, -9):
+        assert matrices(cx, w) == matrices(plain, w)
+    assert set(calls.values()) == {1} and calls.keys() == pairs_of([-6, -8, -9]).keys()
+    # a new bracket starts the memo over
+    again = Counter()
+    cx.bracket = counted(again)
+    assert matrices(cx, -8) == mats and again.keys() == oracle_calls.keys()
+    assert set(again.values()) == {1}
+    cx.bracket = lambda a, b: {}
+    assert all(mat.is_zero() for mat in matrices(cx, -8))
 
-    def wrapped(a, b):
-        calls["matrix"] += 1
-        return inner(a, b)
 
-    def counting(a, b):
-        calls["oracle"] += 1
-        return inner(a, b)
-
-    cx.bracket = wrapped
-    mats = [cx.boundary_matrix(m, w) for m in range(1, -w + 1)]
-    pairs = 0
-    for m in range(1, -w + 1):
-        for mono in plain.basis(m, w):
-            boundary_of_monomial(mono, gr, counting)
-            runs = [len(list(run)) for _, run in groupby(mono)]
-            pairs += len(runs) * (len(runs) - 1) // 2 + sum(k > 1 for k in runs)
-    assert calls["matrix"] == calls["oracle"] == pairs > 200
-    assert mats == [plain.boundary_matrix(m, w) for m in range(1, -w + 1)]
+def test_a_non_exact_bracket_coefficient_is_rejected():
+    # exactla needs int or Fraction entries, so assembly stops a float
+    # before any rank, also with asserts off
+    levels = [Level(-1, (-1,), ("a",)), Level(-2, (-2,), ("b",))]
+    cx = WeightedComplex(levels, lambda x, y: {"b": 0.5} if x == y == "a" else {})
+    message = "bracket('a', 'a') has the non-exact coefficient 0.5"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        cx.boundary_matrix(2, -2)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        complex_homology(cx, -2, 2, "t")
+    exact = WeightedComplex(levels, lambda x, y: {"b": Fraction(1, 2)} if x == y == "a" else {})
+    assert exact.boundary_matrix(2, -2).entries == {(0, 0): Fraction(1, 2)}
+    script = "\n".join([
+        "from formchains.homology import complex_homology",
+        "from formchains.superchain import Level, WeightedComplex",
+        "cx = WeightedComplex([Level(-1, (-1,), ('a',)), Level(-2, (-2,), ('b',))],",
+        "                     lambda x, y: {'b': 0.5} if x == y == 'a' else {})",
+        "print(__debug__)",
+        "try:",
+        "    complex_homology(cx, -2, 2, 't')",
+        "except TypeError as exc:",
+        "    print(exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(forms.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, f"False\n{message}\n"), proc.stderr
 
 
 def test_format_monomial():
