@@ -70,8 +70,8 @@ def complex_homology(cx, w, m_top, name):
         if checks:
             support = sorted(set().union(*checks))
             at = {r: i for i, r in enumerate(support)}
-            z = exactla.SparseRationalMatrix(len(support), len(checks), [
-                ((at[r], j), v) for j, col in enumerate(checks) for r, v in col.items()])
+            z = exactla.SparseRationalMatrix.from_columns(
+                len(support), [{at[r]: v for r, v in col.items()} for col in checks])
             if not (cx.boundary_matrix(m, w, support) @ z).is_zero():
                 raise ArithmeticError(
                     f"{name} at weight {w}: bd o bd != 0 at m = {m + 1}")

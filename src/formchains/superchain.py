@@ -120,7 +120,6 @@ class WeightedComplex:
         self._terms = (bracket, {})  # its memo {id_a * n + id_b: ((id, cf), ...)}
         self._pick_cache: dict = {}  # (level index, j) -> the run keys of its j-token picks
         self._key_cache: dict = {}   # (m, w) -> the run keys of the basis
-        self._basis_cache: dict = {}
 
     def _known(self, state):
         """N(idx, k, w) of a state if a zero test or the memo gives it, else None."""
@@ -134,50 +133,45 @@ class WeightedComplex:
                 return 0
         return self._counts.get(state)
 
-    def _n(self, idx, k, w):
-        """N(idx, k, w) as in the class docstring; dim is its only caller.
+    def dim(self, m, w) -> int:
+        """dim C_m^w = N(0, m, w), counted without enumerating; the cap
+        applies to it.
 
         No recursion, so a long level list cannot reach the recursion limit:
-        the states still unknown are expanded level by level down from idx,
-        then every expanded state is summed and memoized in one backward
-        pass, from the deepest level up, each child before its parents.
+        the states still unknown are expanded level by level, then every
+        expanded state is summed and memoized in one backward pass, from the
+        deepest level up, each child before its parents.
         """
-        known, memo = self._known, self._counts
-        got = known((idx, k, w))
-        if got is not None:
-            return got
-        sums = []  # (state, its known terms, [(ways, child still to sum)])
-        level = {(idx, k, w)}
-        for i in range(idx, len(self.levels)):
-            lv, wv = self.levels[i], self._weights[i]
-            c, odd = len(lv.tokens), lv.capacity is None
-            below = set()
-            for state in level:
-                _, k_rem, w_rem = state
-                total, kids = 0, []
-                for j in range(k_rem + 1 if odd else min(k_rem, c) + 1):
-                    # j tokens: a subset of an even level, a multiset of an odd one
-                    ways = comb(c, j) if not odd else comb(c + j - 1, j) if j else 1
-                    w2 = tuple(x - j * y for x, y in zip(w_rem, wv))
-                    child = (i + 1, k_rem - j, w2)
-                    got = known(child)
-                    if got is None:
-                        kids.append((ways, child))
-                        below.add(child)
-                    else:
-                        total += ways * got
-                sums.append((state, total, kids))
-            level = below
-        for state, total, kids in reversed(sums):
-            memo[state] = total + sum(ways * memo[child] for ways, child in kids)
-        return memo[(idx, k, w)]
-
-    def dim(self, m, w) -> int:
-        """dim C_m^w, counted without enumerating; the cap applies to it."""
         target = _as_tuple(w)
         if self._arities - {len(target)}:
             raise ValueError("level weight arity does not match the target")
-        size = self._n(0, m, target)
+        known, memo, top = self._known, self._counts, (0, m, target)
+        size = known(top)
+        if size is None:
+            sums = []  # (state, its known terms, [(ways, child still to sum)])
+            level = {top}
+            for i, (lv, wv) in enumerate(zip(self.levels, self._weights)):
+                c, odd = len(lv.tokens), lv.capacity is None
+                below = set()
+                for state in level:
+                    _, k_rem, w_rem = state
+                    total, kids = 0, []
+                    for j in range(k_rem + 1 if odd else min(k_rem, c) + 1):
+                        # j tokens: a subset of an even level, a multiset of an odd one
+                        ways = comb(c, j) if not odd else comb(c + j - 1, j) if j else 1
+                        w2 = tuple(x - j * y for x, y in zip(w_rem, wv))
+                        child = (i + 1, k_rem - j, w2)
+                        got = known(child)
+                        if got is None:
+                            kids.append((ways, child))
+                            below.add(child)
+                        else:
+                            total += ways * got
+                    sums.append((state, total, kids))
+                level = below
+            for state, total, kids in reversed(sums):
+                memo[state] = total + sum(ways * memo[child] for ways, child in kids)
+            size = memo[top]
         if self.cap is not None and size > self.cap:
             raise EnumerationCapExceeded(
                 f"{size} monomials at degree {m}, weight {w}, "
@@ -252,15 +246,12 @@ class WeightedComplex:
 
     def basis(self, m, w):
         """The degree-m monomials of weight w, each a canonical product
-        tuple, memoized, after the cap check.
+        tuple, in a new list on each call, after the cap check.
 
         These are the run keys of the walk (see _run_keys) expanded into
         tokens; boundary_matrix reads the keys and never builds them.
         """
-        mw = (m, _as_tuple(w))
-        if mw not in self._basis_cache:
-            self._basis_cache[mw] = [self._flat(key) for key in self._run_keys(m, w)]
-        return self._basis_cache[mw]
+        return [self._flat(key) for key in self._run_keys(m, w)]
 
     def _image(self, key, index):
         """bd of one product, from its run key: {row in index: coefficient},
@@ -410,7 +401,7 @@ def _forms_complex(spec, w, cap):
 def chain_dim(spec_or_n, m: int, w: int) -> int:
     """dim C_m^w, counted without enumerating (depends only on n)."""
     n = spec_or_n if isinstance(spec_or_n, int) else spec_or_n.n
-    return WeightedComplex(form_levels(n), None).dim(m, w)
+    return WeightedComplex(form_levels(n, w), None).dim(m, w)
 
 
 def _nb(p: int, q: int) -> int:

@@ -1,6 +1,8 @@
-"""Smoke tests for the entry points: every demo and README example runs,
-every exported name resolves."""
+"""Smoke tests for the entry points: every demo runs and prints its frozen
+output in tests/demo_output, every README example runs, every exported name
+resolves."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -13,6 +15,9 @@ import formchains
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+FROZEN = ROOT / "tests" / "demo_output"
+# the float cross-check needs numpy; without it the demo prints this instead
+NO_NUMPY = "numpy not installed; skipping the floating-point cross-check\n"
 README_CODE = re.findall(r"^```python\n(.*?)^```$",
                          (ROOT / "README.md").read_text(), re.M | re.S)
 
@@ -28,6 +33,10 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    want = (FROZEN / f"{demo.stem}.txt").read_text()
+    if demo.stem == "06_float_crosscheck" and not importlib.util.find_spec("numpy"):
+        want = NO_NUMPY
+    assert proc.stdout == want
 
 
 def test_readme_examples_run(monkeypatch):

@@ -136,6 +136,16 @@ def test_chain_dims_n2():
     assert [chain_dim(2, m, -3) for m in (1, 2, 3)] == [1, 2, 1]
 
 
+def test_chain_dim_builds_only_the_levels_of_its_weight():
+    # n = 40 has 2^40 form tokens; weights -2 and -3 reach only 1 and the
+    # 40 one-forms: C_1^{-2} is spanned by them, C_2^{-3} by 1.s_i
+    for spec in (40, catalog("abelian(40)")):
+        assert chain_dim(spec, 1, -2) == 40
+        assert chain_dim(spec, 2, -3) == 40
+    # w >= 0 reaches no level: only the empty product, at m = w = 0
+    assert [chain_dim(3, m, w) for m in (0, 1) for w in (0, 1)] == [1, 0, 0, 0]
+
+
 def test_basis_monomials_are_canonical_and_weighted():
     cx = forms_complex(catalog("so3"))
     for m in range(1, 7):
@@ -155,6 +165,16 @@ def test_basis_deterministic_and_empty_degree():
     assert enumerate_monomials(levels, 0, 0) == [()]
     assert enumerate_monomials(levels, 0, -1) == []
     assert enumerate_monomials(levels, 2, 5) == []
+
+
+def test_bases_are_independent_lists():
+    cx, w = forms_complex(catalog("so3")), -3
+    want, mat = cx.basis(2, w), cx.boundary_matrix(2, w)
+    got = cx.basis(2, w)
+    got.append("junk")
+    got[0] = ()
+    assert cx.basis(2, w) == want and len(want) == cx.dim(2, w) == 3
+    assert cx.boundary_matrix(2, w) == mat
 
 
 def test_enumeration_cap():
