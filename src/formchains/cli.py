@@ -11,7 +11,7 @@ malformed file, exceeded enumeration cap, unwritable output, structure
 constants that break Jacobi given to betti or extended).
 
 Weights may be given by magnitude: --w 3 and --w-range 1:6 mean w = -3 and
-w = -1 .. -6.  Output is deterministic for a fixed configuration, whatever
+w = -1 .. -6, as do --w -3 and --w-range -1:-6.  Output is deterministic for a fixed configuration, whatever
 --jobs says: parallel workers only ever compute per-weight reports, and the
 single writer emits them in request order.
 """
@@ -27,13 +27,20 @@ from .extend import check_system_jacobi, extended_betti
 from .homology import (
     betti_row,
     betti_table,
+    complex_homology,
     homology_csv,
     homology_json,
     homology_text,
 )
 from .liealg import catalog, load_structure_constants, validate
 from .polyforms import double_weight_betti
-from .superchain import EnumerationCapExceeded, WeightedComplex, form_levels, forms_complex
+from .superchain import (
+    EnumerationCapExceeded,
+    WeightedComplex,
+    form_levels,
+    forms_bracket,
+    forms_complex,
+)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -192,9 +199,13 @@ def golden_payloads(cap=None) -> dict:
         for m in range(1, -w + 1):
             lines.append(f"3,{w},{m},{n3.dim(m, w)}")
     out["n3_dims.csv"] = "\n".join(lines) + "\n"
+    # the five 3-dimensional families differ only in their bracket: one
+    # complex counts and walks their bases once, given each bracket in turn
+    cx = WeightedComplex(form_levels(3), None, cap)
     reports = []
     for label in ("d3", "d2y", "d2n", "d1y", "d1n"):
-        reports += betti_table(catalog(label), (-3, -5, -10), cap=cap, name=label)
+        cx.bracket = forms_bracket(catalog(label))
+        reports += [complex_homology(cx, w, -w, label) for w in (-3, -5, -10)]
     out["weighted_tables.csv"] = homology_csv(reports)
     out["extended_so3.csv"] = homology_csv(
         [extended_betti(catalog("so3"), -3, cap=cap)], euler_column=True
@@ -335,8 +346,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value that starts with "-" and is no plain number, such
+# as -1:-3 or -3/2, as an option; these flags take such values
+_SIGNED_VALUE_FLAGS = ("--w-range", "--kappa")
+
+
+def _join_signed_values(argv):
+    """argv with each "-<digit>..." value after a _SIGNED_VALUE_FLAGS flag
+    joined onto it, as in --w-range=-1:-3."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     except EnumerationCapExceeded as exc:

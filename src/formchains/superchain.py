@@ -90,6 +90,9 @@ class WeightedComplex:
     bracket(a, b) returns {token: int or Fraction}, else boundary_matrix
     raises TypeError; it is called once per pair, its terms kept by ids until
     self.bracket is set anew.  Callers that only count or list pass None.
+    The counts, bases and picks depend only on the levels, so they survive
+    cx.bracket = ...: complexes that differ only in their bracket can share
+    one WeightedComplex, given each bracket in turn.
     """
 
     def __init__(self, levels, bracket, cap=None):
@@ -387,6 +390,15 @@ def form_levels(n: int, w=None):
     ]
 
 
+def forms_bracket(spec):
+    """The bracket of two form tokens in the forms superalgebra of spec.
+
+    A new function on each call, so setting it as a complex's bracket
+    starts that complex's bracket memo over.
+    """
+    return lambda a, b: forms.super_bracket({a: 1}, {b: 1}, spec)
+
+
 def forms_complex(spec, cap=None) -> WeightedComplex:
     """The invariant-forms chain complex: basis subsets as tokens."""
     return _forms_complex(spec, None, cap)
@@ -394,8 +406,7 @@ def forms_complex(spec, cap=None) -> WeightedComplex:
 
 def _forms_complex(spec, w, cap):
     """forms_complex on the levels that occur at weight w (all if w is None)."""
-    return WeightedComplex(form_levels(spec.n, w), lambda a, b: forms.super_bracket(
-        {a: 1}, {b: 1}, spec), cap)
+    return WeightedComplex(form_levels(spec.n, w), forms_bracket(spec), cap)
 
 
 def chain_dim(spec_or_n, m: int, w: int) -> int:

@@ -12,6 +12,7 @@ import pytest
 
 import formchains.cli as cli
 from formchains.cli import main
+from formchains.superchain import WeightedComplex
 
 
 # --- validate -------------------------------------------------------------------
@@ -179,6 +180,32 @@ def test_bad_w_range(capsys):
     assert main(["betti", "--algebra", "dim2", "--w-range", "x:y"]) == 2
 
 
+@pytest.mark.parametrize("spaced, same", [
+    (["--algebra", "so3", "--w-range", "-1:-3"],
+     [["--algebra", "so3", "--w-range=-1:-3"], ["--algebra", "so3", "--w-range", "1:3"]]),
+    (["--algebra", "d2", "--kappa", "-3/2", "--w-range", "1:4"],
+     [["--algebra", "d2", "--kappa=-3/2", "--w-range", "1:4"]]),
+], ids=["w-range", "kappa"])
+def test_signed_values_may_follow_their_flag(spaced, same, capsys):
+    # argparse alone reads -1:-3 and -3/2 as options: "expected one argument"
+    def run(argv):
+        code = main(["betti", *argv, "--format", "csv"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    code, out, err = run(spaced)
+    assert (code, err) == (0, "")
+    assert out.count("\n") > 1
+    for argv in same:
+        assert run(argv) == (code, out, err)
+
+
+def test_a_flag_after_a_signed_value_flag_is_no_value(capsys):
+    with pytest.raises(SystemExit):
+        main(["betti", "--algebra", "d2", "--kappa", "--w", "3"])
+    assert "--kappa: expected one argument" in capsys.readouterr().err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     assert main(["betti", "--algebra", "dim2", "--w", "3",
@@ -193,7 +220,6 @@ def test_generic_kappa_matches_unit_kappa(capsys):
         argv = ["betti", "--algebra", selector,
                 "--w-range", "1:6", "--format", "json"]
         if kappa is not None:
-            # negative values need the = form so argparse keeps the value
             argv.insert(3, f"--kappa={kappa}")
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -418,6 +444,40 @@ def test_goldens_pass(capsys):
     out = capsys.readouterr().out
     assert out.count(": ok") == 5
     assert "MISMATCH" not in out
+
+
+def test_goldens_share_one_complex_across_the_3d_families(monkeypatch):
+    # dim2, n3_dims, the five families, extended so3 and four poly_n1_h0 rows
+    built = []
+    init = WeightedComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedComplex, "__init__", counting_init)
+    cli.golden_payloads()
+    assert len(built) == 8
+    cli.golden_payloads()
+    assert len(built) == 16
+
+
+@pytest.mark.parametrize("cap, err", [
+    ("0", "1 monomials at degree 1, weight -1, more than the cap 0"),
+    ("3", "10 monomials at degree 2, weight -5, more than the cap 3"),
+    ("10", "38 monomials at degree 4, weight -10, more than the cap 10"),
+    ("20", "38 monomials at degree 4, weight -10, more than the cap 20"),
+    ("40", None),
+])
+def test_goldens_cap_errors(cap, err, capsys):
+    code = main(["goldens", "--cap", cap])
+    captured = capsys.readouterr()
+    if err is None:
+        assert (code, captured.err) == (0, "")
+        assert captured.out.count(": ok") == 5
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"enumeration cap exceeded: {err}\n"
 
 
 def test_goldens_detect_perturbation(tmp_path, monkeypatch, capsys):

@@ -26,7 +26,7 @@ from formchains.homology import (
 )
 from formchains.liealg import LieAlgebraSpec, catalog
 from formchains.polyforms import double_weight_complex, support_top
-from formchains.superchain import forms_complex
+from formchains.superchain import WeightedComplex, form_levels, forms_bracket, forms_complex
 
 # kernel and Betti rows of the five 3-dimensional classes, m = 1 .. -w,
 # frozen for w = -3, -5, -10
@@ -240,6 +240,34 @@ def test_dd_check_catches_a_non_jacobi_algebra_under_python_O():
     assert lines[0] == "False"
     assert [line.split(":")[0] for line in lines[1:]] == [
         f"? at weight {w}" for w in range(-4, -10, -1)] * len(NON_JACOBI_CONSTANTS)
+
+
+FAMILIES = ("d3", "d2y", "d2n", "d1y", "d1n")
+
+
+@pytest.mark.parametrize("order", [FAMILIES, FAMILIES[::-1]], ids=["catalog", "reversed"])
+def test_one_complex_serves_every_family_by_its_bracket(order):
+    # counts, bases and picks survive cx.bracket = ...; the bracket memo does not
+    cx = WeightedComplex(form_levels(3), None)
+    for label in order:
+        cx.bracket = forms_bracket(catalog(label))
+        shared = [complex_homology(cx, w, -w, label) for w in (-3, -5, -10)]
+        assert shared == betti_table(catalog(label), (-3, -5, -10), name=label), label
+
+
+def test_a_new_bracket_reaches_the_dd_check():
+    # after d3's terms fill the memo, the non-Jacobi bracket must be read anew
+    spec = NON_JACOBI[0]
+    cx = WeightedComplex(form_levels(3), forms_bracket(catalog("d3")))
+    for w in range(-4, -10, -1):
+        complex_homology(cx, w, -w, "?")
+    cx.bracket = forms_bracket(spec)
+    for w in range(-4, -10, -1):
+        with pytest.raises(ArithmeticError) as fresh:
+            betti_row(spec, w)
+        with pytest.raises(ArithmeticError, match=f"at weight {w}: ") as shared:
+            complex_homology(cx, w, -w, "?")
+        assert str(shared.value) == str(fresh.value)
 
 
 def _poly_case(w, h, n, vectors=False):
