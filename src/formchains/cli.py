@@ -353,10 +353,18 @@ _SIGNED_VALUE_FLAGS = ("--w-range", "--kappa")
 
 def _join_signed_values(argv):
     """argv with each "-<digit>..." value after a _SIGNED_VALUE_FLAGS flag
-    joined onto it, as in --w-range=-1:-3."""
+    joined onto it, as in --w-range=-1:-3.  The flag may be a unique prefix
+    of it among the command's options, as argparse allows (--w-ran)."""
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    options = commands[argv[0]]._option_string_actions if argv[:1] and argv[0] in commands else {}
+
+    def flag(arg):
+        hits = [o for o in options if o.startswith(arg)]
+        return hits[0] if arg not in options and len(hits) == 1 else arg
+
     out = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_VALUE_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+        if out and flag(out[-1]) in _SIGNED_VALUE_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
             out[-1] += "=" + arg
         else:
             out.append(arg)

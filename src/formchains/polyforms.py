@@ -17,19 +17,21 @@ pair by (-1, -1), the constant 1 sitting at (-1, -1) itself.
 
 Chains of degree m in the doubly weighted complex C_m^{w,h} are
 super-exterior monomials in the term keys above, with the two weights
-summing to (w, h).  When vector fields are admitted, pairing a monomial
-with the weight-(0, 0) field x_1 d/dx_1 toggles the degree by one and makes
-the Euler characteristic vanish at every w < 0.  More: the Euler field
-E = sum_i x_i d/dx_i acts on C_m^{w,h} by h - w, and by Cartan's homotopy
-formula bd eps_E + eps_E bd = ad(E) for eps_E(c) = E ^ c.  So every
-vector-field complex with h != w is acyclic, and double_weight_betti takes
-its ranks from the dimension counts alone; only the diagonal h = w, and
-every complex without vector fields, is assembled and eliminated.
+summing to (w, h).  The torus x_i d/dx_i splits C^{w,h} into blocks by
+multidegree, the sum over the factors of alpha + 1_A for x^alpha dx^A and
+alpha - e_i for x^alpha d/dx_i; bd keeps each block, and permuting the
+coordinates maps block d onto block sigma d.  So double_weight_betti ranks
+one block per S_n orbit.  With vector fields, Cartan's formula bd eps_X +
+eps_X bd = ad(X), for eps_X(c) = X ^ c and X = x_i d/dx_i acting by d_i,
+makes every block d != 0 acyclic: only block 0 is ranked, and none off the
+diagonal h = w, as the multidegree sums to h - w.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import partial
+from itertools import combinations, permutations
+from types import SimpleNamespace
 
 from .forms import _merge, _sign, add_into, add_term
 from .homology import _report, complex_homology
@@ -78,6 +80,14 @@ def token_grade(key) -> int:
 def token_weights(key) -> tuple:
     """(primary, secondary) weight pair of one term key."""
     return (token_grade(key), sum(key[0]) - 1)
+
+
+def token_multidegree(key) -> tuple:
+    """alpha + 1_A for a form x^alpha dx^A, alpha - e_i for x^alpha d/dx_i."""
+    alpha, tail = key
+    if isinstance(tail, tuple):
+        return tuple(a + (i in tail) for i, a in enumerate(alpha, start=1))
+    return tuple(a - (i == tail) for i, a in enumerate(alpha, start=1))
 
 
 def double_weight(elem) -> tuple:
@@ -252,7 +262,14 @@ def support_top(w: int, h: int, n: int, include_vectors=False) -> int:
 
 
 def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None):
-    """Homology report of C_*^{w,h}, degrees 1 .. support_top."""
+    """Homology report of C_*^{w,h}, degrees 1 .. support_top, by block.
+
+    The dims are counted over the whole space, upward, so a cap names the
+    lowest degree over it.  Always on, also under python -O: the blocks of
+    an orbit have equal dims, ad(x_i d/dx_i) scales each token met by d_i,
+    and the ranks R_m = D_m - R_{m+1} of the D_m chains outside the ranked
+    blocks fit 0 <= R_m <= min(D_m, D_{m-1}).
+    """
     if include_vectors:
         if w > 0:
             raise ValueError("primary weight must be nonpositive")
@@ -260,40 +277,59 @@ def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None)
         raise ValueError("primary weight must be negative")
     m_top = support_top(w, h, n, include_vectors)
     cx = double_weight_complex(n, h, m_top + 1, include_vectors, cap=cap)
-    label = f"poly{n}" + ("+T" if include_vectors else "")
-    if not include_vectors or h == w:
-        return complex_homology(cx, (w, h), m_top, label)
-    return _acyclic_homology(cx, n, (w, h), m_top, label)
-
-
-def _acyclic_homology(cx, n, w, m_top, name):
-    """complex_homology of a vector-field complex with h != w, from counts.
-
-    The dims are counted upward, so a cap names the lowest degree over it,
-    and C_{m_top+1} must vanish.  The Euler field E makes the complex acyclic
-    (see the module docstring): rank bd_m = dim C_m - rank bd_{m+1}, and every
-    Betti number is 0.  E must act on each token by its secondary minus its
-    primary weight, so that ad(E) = (h - w) id; checked before any rank.
-    """
-    dims = [cx.dim(m, w) for m in range(m_top + 2)]
+    wh, name = (w, h), f"poly{n}" + ("+T" if include_vectors else "")
+    dims = [cx.dim(m, wh) for m in range(1, m_top + 2)]
     if dims.pop():
         raise ValueError(f"complex does not vanish above m = {m_top}")
-    # always on, also under python -O: ad(E) must scale each token as claimed
-    euler = [(tuple(int(j == i) for j in range(n)), i + 1) for i in range(n)]
-    for lv in cx.levels:
-        p, s = lv.weight
-        for t in lv.tokens:
-            got = {}
-            for e in euler:
-                add_into(got, cx.bracket(e, t))
-            if got != ({t: s - p} if s != p else {}):
-                raise ArithmeticError(
-                    f"the Euler field does not act on {t} by {s - p}: {got}")
-    ranks = [0] * (m_top + 2)
+    if include_vectors and h != w:  # no block 0: nothing is walked, every token checked
+        sizes, kept, used = {}, {}, cx.tokens
+    else:
+        keep = ((0,) * n).__eq__ if include_vectors else lambda d: list(d) == sorted(d)
+        sizes, kept, used = _blocks(cx, wh, m_top, n, keep)
+    for i in range(n if include_vectors else 0):
+        field = (tuple(int(j == i) for j in range(n)), i + 1)
+        for t in used:
+            di = token_multidegree(t)[i]
+            if (got := cx.bracket(field, t)) != ({t: di} if di else {}):
+                raise ArithmeticError(f"x_{i + 1} d/dx_{i + 1} does not act on {t} by {di}: {got}")
+    ranks, rest = [0] * m_top, [0, *dims]
+    for d, size in sizes.items():
+        orbit = set(permutations(d))
+        if any(sizes.get(e) != size for e in orbit):
+            raise ArithmeticError(f"{name} at weight {wh}: the blocks {sorted(orbit)} differ in dims")
+        if keys := kept.get(d):
+            block = SimpleNamespace(dim=lambda m, w: len(keys.get(m, ())),
+                                    boundary_matrix=partial(cx.boundary_matrix, keys=keys))
+            for m, r in enumerate(complex_homology(block, wh, m_top, name).ranks, start=1):
+                ranks[m - 1] += len(orbit) * r
+                rest[m] -= len(orbit) * size[m - 1]
+    # what no ranked orbit holds lies in acyclic blocks (none without vector fields)
+    r = 0
     for m in range(m_top, 0, -1):
-        ranks[m] = dims[m] - ranks[m + 1]
-        if not 0 <= ranks[m] <= min(dims[m], dims[m - 1]):
+        r = rest[m] - r
+        if not 0 <= r <= min(rest[m], rest[m - 1]):
             raise ArithmeticError(
-                f"{name} at weight {w}: no acyclic ranks fit the dims "
-                f"{tuple(dims)} (rank {ranks[m]} at m = {m})")
-    return _report(name, w, dims[1:], ranks[1:-1])
+                f"{name} at weight {wh}: no acyclic ranks fit the dims "
+                f"{tuple(rest[1:])} (rank {r} at m = {m})")
+        ranks[m - 1] += r
+    return _report(name, wh, dims, ranks)
+
+
+def _blocks(cx, w, m_top, n, keep):
+    """Walk C_m^w once for each m = 1 .. m_top and split it by multidegree:
+    {d: [dim of block d at each m]} over all blocks, {d: {m: run keys}} over
+    those with keep(d), and the tokens met.  A token adds d_i + 1 to digit i
+    of one int, so a key's block is a single sum.
+    """
+    base = abs(w[1] - w[0]) + n * m_top + 1  # at degree m a digit is d_i + m <= h - w + n m
+    packed = [sum((c + 1) * base ** i for i, c in enumerate(token_multidegree(t))) for t in cx.tokens]
+    sizes, kept, used = {}, {}, set()
+    for m in range(1, m_top + 1):
+        groups, tokens = cx.split(m, w, packed)
+        used |= tokens
+        for p, keys in groups.items():
+            d = tuple(p // base ** i % base - m for i in range(n))
+            sizes.setdefault(d, [0] * m_top)[m - 1] = len(keys)
+            if keep(d):
+                kept.setdefault(d, {})[m] = keys
+    return sizes, kept, used

@@ -242,6 +242,17 @@ class WeightedComplex:
         self._key_cache[mw] = out
         return out
 
+    def split(self, m, w, values):
+        """The run keys of C_m^w by the sum over their factors of values[i]
+        for the token self.tokens[i], {sum: [run keys]}, and the set of
+        tokens met.  Not memoized: the caller keeps the groups it needs."""
+        keys = self._run_keys(m, w)
+        del self._key_cache[m, _as_tuple(w)]
+        groups = {}
+        for key in keys:
+            groups.setdefault(sum(values[i] * k for i, k in key), []).append(key)
+        return groups, {self.tokens[i] for i, _ in set().union(*keys)}
+
     def _flat(self, key):
         """The canonical product of a run key: each token repeated k times."""
         tokens = self.tokens
@@ -337,19 +348,23 @@ class WeightedComplex:
                         add_term(col, row, cf)
         return col, aside
 
-    def boundary_matrix(self, m, w, columns=None) -> SparseRationalMatrix:
+    def boundary_matrix(self, m, w, columns=None, keys=None) -> SparseRationalMatrix:
         """The matrix of bd: C_m^w -> C_{m-1}^w in the enumerated bases.
 
         Columns and rows are the run keys of the basis walk; no flat
         product is built unless the boundary leaves the weight space, to
         name it.  Given columns, a list of basis positions, only those are
         assembled, column c of the matrix being the image of columns[c].
+        Given keys, {degree: run keys} of a block bd must keep, they stand
+        in for the bases.
         self.bracket is read here, at call time.
         """
-        cols = self._run_keys(m, w)
+        if keys is None:
+            cols, rows = self._run_keys(m, w), self._run_keys(m - 1, w) if m >= 1 else []
+        else:
+            cols, rows = keys.get(m, []), keys.get(m - 1, [])
         if columns is not None:
             cols = [cols[c] for c in columns]
-        rows = self._run_keys(m - 1, w) if m >= 1 else []
         index = {key: r for r, key in enumerate(rows)}
         if self._terms[0] is not self.bracket:
             self._terms = (self.bracket, {})
@@ -358,7 +373,7 @@ class WeightedComplex:
             col, aside = self._image(key, index)
             if aside:
                 raise AssertionError(
-                    f"boundary left the space of weight {w}: "
+                    f"boundary left the {'space' if keys is None else 'block'} of weight {w}: "
                     f"{self._flat(key)} -> {self._flat(next(iter(aside)))}"
                 )
             out.append(col)

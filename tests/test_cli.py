@@ -185,7 +185,11 @@ def test_bad_w_range(capsys):
      [["--algebra", "so3", "--w-range=-1:-3"], ["--algebra", "so3", "--w-range", "1:3"]]),
     (["--algebra", "d2", "--kappa", "-3/2", "--w-range", "1:4"],
      [["--algebra", "d2", "--kappa=-3/2", "--w-range", "1:4"]]),
-], ids=["w-range", "kappa"])
+    # argparse takes a unique prefix of a flag, so the join does too
+    (["--algebra", "so3", "--w-ran", "-1:-3"], [["--algebra", "so3", "--w-range=-1:-3"]]),
+    (["--algebra", "d2", "--kap", "-3/2", "--w", "2"],
+     [["--algebra", "d2", "--kappa=-3/2", "--w", "2"]]),
+], ids=["w-range", "kappa", "w-ran", "kap"])
 def test_signed_values_may_follow_their_flag(spaced, same, capsys):
     # argparse alone reads -1:-3 and -3/2 as options: "expected one argument"
     def run(argv):
@@ -198,6 +202,13 @@ def test_signed_values_may_follow_their_flag(spaced, same, capsys):
     assert out.count("\n") > 1
     for argv in same:
         assert run(argv) == (code, out, err)
+
+
+def test_a_whole_flag_is_no_prefix_of_a_signed_value_flag(capsys):
+    # --w is an option of its own, not short for --w-range
+    with pytest.raises(SystemExit):
+        main(["betti", "--algebra", "so3", "--w", "-1:-3"])
+    assert "--w: expected one argument" in capsys.readouterr().err
 
 
 def test_a_flag_after_a_signed_value_flag_is_no_value(capsys):

@@ -18,7 +18,7 @@ import pytest
 
 from formchains.extend import extended_complex
 from formchains.liealg import catalog
-from formchains.polyforms import poly_levels, support_top
+from formchains.polyforms import _blocks, double_weight_complex, poly_levels, support_top
 from formchains.superchain import Level, WeightedComplex, _as_tuple, form_levels
 
 import oracle_enumeration
@@ -205,6 +205,21 @@ def test_multidegree_bases_match_oracle(w, h, vectors, m_max):
 def test_warm_multidegree_bases_match_oracle(w, h, vectors, m_max):
     levels, cases = multidegree_cases(w, h, vectors, m_max)
     assert_warm_bases_match_oracle(levels, cases, w - h)
+
+
+@pytest.mark.parametrize("w, h", [(w, h) for w, h, vectors, _ in MULTIDEGREE_GRID if vectors])
+def test_library_block_sizes_match_split_levels(w, h):
+    # the keys double_weight_betti groups by multidegree, counted per block
+    # at every degree of the support, against the split levels' counts
+    top = support_top(w, h, 2, True)
+    levels, cases = multidegree_cases(w, h, True, top + 1)
+    split = WeightedComplex(levels, zero_bracket)
+    cx = double_weight_complex(2, h, top + 1, include_vectors=True)
+    sizes, _, _ = _blocks(cx, (w, h), top, 2, lambda d: False)
+    got = {(m, (w, h, *d)): size for d, row in sizes.items()
+           for m, size in enumerate(row, start=1) if size}
+    assert got == {case: split.dim(*case) for case in cases
+                   if 1 <= case[0] <= top and split.dim(*case)}
 
 
 # --- dims against the super-Hilbert series -------------------------------------

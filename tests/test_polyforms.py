@@ -43,7 +43,7 @@ from formchains.polyforms import (
     token_weights,
     vector_commutator,
 )
-from formchains.superchain import EnumerationCapExceeded, chain_dim
+from formchains.superchain import EnumerationCapExceeded, Level, chain_dim
 
 from oracle_boundary import _insert, boundary_of_monomial
 import oracle_calculus
@@ -455,23 +455,40 @@ def test_euler_vanishes_with_vectors():
         assert euler == 0, (n, w, h, dims)
 
 
-# the n = 1 grid around the diagonal, and three n = 2 cases the full path
-# still runs in about a second
-OFF_DIAGONAL = [
-    *[(1, w, h) for w in range(-1, -5, -1) for h in range(-2, 5) if h != w],
-    (2, -1, -2), (2, -1, 0), (2, -2, -1),
+# the n = 1 grid on and around the diagonal, and five n = 2 cases
+VECTOR_GRID = [
+    *[(1, w, h) for w in range(-1, -5, -1) for h in range(-2, 5)],
+    (2, -1, -2), (2, -1, -1), (2, -1, 0), (2, -2, -1), (2, -2, -2),
     (1, 0, -5),   # the support is empty: m_top = 0
 ]
 
 
-@pytest.mark.parametrize("n, w, h", OFF_DIAGONAL)
+@pytest.mark.parametrize("n, w, h", VECTOR_GRID)
 def test_acyclic_shortcut_matches_full_homology(n, w, h):
-    # off the diagonal double_weight_betti derives the ranks from the dims;
-    # complex_homology assembles and eliminates every boundary
+    # double_weight_betti derives the ranks outside block 0 from the dims,
+    # all of them off the diagonal; complex_homology assembles and
+    # eliminates every boundary
     rep = double_weight_betti(w, h, n, include_vectors=True)
     cx = double_weight_complex(n, h, support_top(w, h, n, True) + 1, True)
     assert rep == complex_homology(cx, (w, h), len(rep.dims), f"poly{n}+T")
-    assert set(rep.betti) <= {0}
+    if h != w:
+        assert set(rep.betti) <= {0}
+
+
+# n = 1 and 2 with vector fields on the diagonal, n = 1 and 2 forms at
+# w = -1 .. -7, h = -1 .. 3, and n = 3 forms at w = -1 .. -5, h = -1 .. 1
+BLOCK_GRID = [(n, w, w, True) for n in (1, 2) for w in range(0, -7, -1)] + [
+    (n, w, h, False) for n in (1, 2) for w in range(-1, -8, -1) for h in range(-1, 4)] + [
+    (3, w, h, False) for w in range(-1, -6, -1) for h in range(-1, 2)]
+
+
+@pytest.mark.parametrize("n, w, h, vectors", BLOCK_GRID)
+def test_blocks_match_full_homology(n, w, h, vectors):
+    # double_weight_betti ranks block 0 or one block per S_n orbit;
+    # complex_homology assembles and eliminates the whole space
+    rep = double_weight_betti(w, h, n, include_vectors=vectors)
+    cx = double_weight_complex(n, h, support_top(w, h, n, vectors) + 1, vectors)
+    assert rep == complex_homology(cx, (w, h), len(rep.dims), f"poly{n}" + "+T" * vectors)
 
 
 def test_empty_support_gives_an_empty_report():
@@ -547,12 +564,66 @@ def short_support(pf):
     return "support_top", lambda w, h, n, include_vectors=False: 2
 
 
+def broken_torus_eigenvalue(pf):
+    # x_1 d/dx_1 acts on the token x_1 d/dx_2 by 2 instead of 1
+    real = pf.poly_bracket
+
+    def bracket(x, y):
+        out = real(x, y)
+        if x == {((1, 0), 1): 1} and y == {((1, 0), 2): 1}:
+            return {key: 2 * v for key, v in out.items()}
+        return out
+
+    return "poly_bracket", bracket
+
+
+def term_in_another_block(pf):
+    # L_{d/dx_1} x_1^2 = 2 x_1 answered as 2 x_2: equal weights, multidegree
+    # (0, 1) instead of (1, 0)
+    real = pf.poly_bracket
+
+    def bracket(x, y):
+        if x == {((0, 0), 1): 1} and y == {((2, 0), ()): 1}:
+            return {((0, 1), ()): 2}
+        return real(x, y)
+
+    return "poly_bracket", bracket
+
+
+def asymmetric_levels(pf):
+    # the token x_2 left out, so that no permutation maps x_1 anywhere
+    real = pf.poly_levels
+
+    def levels(*args, **kwargs):
+        return [Level(lv.grade, lv.weight, tuple(t for t in lv.tokens if t != ((0, 1), ())))
+                for lv in real(*args, **kwargs)]
+
+    return "poly_levels", levels
+
+
+def exact(message):
+    return f"^{re.escape(message)}$"
+
+
 ACYCLIC_BREAKS = [
     (broken_euler_eigenvalue, ArithmeticError,
-     r"the Euler field does not act on \(\(1,\), \(1,\)\) by 2"),
+     exact("x_1 d/dx_1 does not act on ((1,), (1,)) by 2: {((1,), (1,)): 4}")),
     (miscounted_complex, ArithmeticError,
      r"poly1\+T at weight \(-2, 0\): no acyclic ranks fit the dims"),
     (short_support, ValueError, "complex does not vanish above m = 2"),
+]
+
+# what the ranked blocks rely on, broken on the diagonal (-1, -1) of R^2
+# with vector fields and on the forms of R^2 at (-2, 1)
+BLOCK_BREAKS = [
+    (broken_torus_eigenvalue, (-1, -1, 2, True), ArithmeticError,
+     "x_1 d/dx_1 does not act on ((1, 0), 2) by 1: {((1, 0), 2): 2}"),
+    (term_in_another_block, (-1, -1, 2, True), AssertionError,
+     "boundary left the block of weight (-1, -1): (((0, 0), 1), ((0, 0), 2), ((0, 1), 1), "
+     "((0, 1), 2), ((1, 0), 1), ((2, 0), ())) -> (((0, 0), 2), ((0, 1), 1), ((0, 1), 2), "
+     "((1, 0), 1), ((0, 1), ()))"),
+    (asymmetric_levels, (-2, 1, 2, False), ArithmeticError,
+     "poly2 at weight (-2, 1): the blocks [(0, 3), (3, 0)] differ in dims"),
 ]
 
 
@@ -564,18 +635,30 @@ def test_acyclic_shortcut_checks_raise(breaker, error, message, monkeypatch):
         double_weight_betti(-2, 0, 1, include_vectors=True)
 
 
+@pytest.mark.parametrize("breaker, case, error, message", BLOCK_BREAKS,
+                         ids=[breaker.__name__ for breaker, *_ in BLOCK_BREAKS])
+def test_block_checks_raise(breaker, case, error, message, monkeypatch):
+    double_weight_betti(*case)
+    monkeypatch.setattr(polyforms, *breaker(polyforms))
+    with pytest.raises(error, match=exact(message)):
+        double_weight_betti(*case)
+
+
 def test_acyclic_shortcut_checks_raise_under_python_O():
+    breaks = [(breaker, (-2, 0, 1, True)) for breaker, _, _ in ACYCLIC_BREAKS]
+    breaks += [(breaker, case) for breaker, case, _, _ in BLOCK_BREAKS]
     script = "\n".join([
         "import formchains.polyforms as pf",
-        *[inspect.getsource(breaker) for breaker, _, _ in ACYCLIC_BREAKS],
+        "from formchains.superchain import Level",
+        *[inspect.getsource(breaker) for breaker, _ in breaks],
         "print(__debug__)",
-        "for breaker in (broken_euler_eigenvalue, miscounted_complex, short_support):",
+        f"for breaker, case in [{', '.join(f'({b.__name__}, {c})' for b, c in breaks)}]:",
         "    name, fake = breaker(pf)",
         "    real = getattr(pf, name)",
         "    setattr(pf, name, fake)",
         "    try:",
-        "        pf.double_weight_betti(-2, 0, 1, include_vectors=True)",
-        "    except (ArithmeticError, ValueError) as exc:",
+        "        pf.double_weight_betti(*case)",
+        "    except (ArithmeticError, AssertionError, ValueError) as exc:",
         "        print(type(exc).__name__, exc)",
         "    else:",
         "        raise SystemExit(f'{breaker.__name__}: nothing raised')",
@@ -588,11 +671,12 @@ def test_acyclic_shortcut_checks_raise_under_python_O():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "False"
-    assert lines[1].startswith(
-        "ArithmeticError the Euler field does not act on ((1,), (1,)) by 2")
+    assert lines[1] == (
+        "ArithmeticError x_1 d/dx_1 does not act on ((1,), (1,)) by 2: {((1,), (1,)): 4}")
     assert lines[2].startswith(
         "ArithmeticError poly1+T at weight (-2, 0): no acyclic ranks fit the dims")
     assert lines[3] == "ValueError complex does not vanish above m = 2"
+    assert lines[4:] == [f"{error.__name__} {message}" for _, _, error, message in BLOCK_BREAKS]
 
 
 @pytest.mark.parametrize("n", [0, -1])
