@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from . import exactla
-from .superchain import _forms_complex, _ind, _nb
+from .superchain import WeightedComplex, _ind, _nb, form_levels, forms_bracket
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def betti_table(spec, weights, cap=None, name=None):
     """betti_row over several weights, in the order given."""
     weights = list(weights)
     # the complex holds only the form levels that the lowest weight reaches
-    cx = _forms_complex(spec, min(weights, default=0), cap)
+    cx = WeightedComplex(form_levels(spec.n, min(weights, default=0)), forms_bracket(spec), cap)
     label = name or spec.name or "?"
     out = []
     for w in weights:

@@ -264,11 +264,12 @@ def support_top(w: int, h: int, n: int, include_vectors=False) -> int:
 def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None):
     """Homology report of C_*^{w,h}, degrees 1 .. support_top, by block.
 
-    The dims are counted over the whole space, upward, so a cap names the
-    lowest degree over it.  Always on, also under python -O: the blocks of
-    an orbit have equal dims, ad(x_i d/dx_i) scales each token met by d_i,
-    and the ranks R_m = D_m - R_{m+1} of the D_m chains outside the ranked
-    blocks fit 0 <= R_m <= min(D_m, D_{m-1}).
+    The complex holds the tokens of secondary weight <= h - w + n, all that
+    a chain can use.  The dims are counted over the whole space, upward, so
+    a cap names the lowest degree over it.  Always on, also under python -O:
+    the blocks of an orbit have equal dims, ad(x_i d/dx_i) scales every
+    token of the complex by d_i, and the ranks R_m = D_m - R_{m+1} of the
+    D_m chains outside the ranked blocks fit 0 <= R_m <= min(D_m, D_{m-1}).
     """
     if include_vectors:
         if w > 0:
@@ -276,19 +277,23 @@ def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None)
     elif w >= 0:
         raise ValueError("primary weight must be negative")
     m_top = support_top(w, h, n, include_vectors)
-    cx = double_weight_complex(n, h, m_top + 1, include_vectors, cap=cap)
+    # a factor of secondary weight s leaves h - s to the others, each >= -1,
+    # and only the constant forms (at most -w) and the n fields d/dx_i (each
+    # at most once) weigh -1: so s <= h - w + n, as far as the levels reach
+    # for degree n - w + 1
+    cx = double_weight_complex(n, h, min(m_top, n - w) + 1, include_vectors, cap=cap)
     wh, name = (w, h), f"poly{n}" + ("+T" if include_vectors else "")
     dims = [cx.dim(m, wh) for m in range(1, m_top + 2)]
     if dims.pop():
         raise ValueError(f"complex does not vanish above m = {m_top}")
-    if include_vectors and h != w:  # no block 0: nothing is walked, every token checked
-        sizes, kept, used = {}, {}, cx.tokens
+    if include_vectors and h != w:  # no block 0: nothing is walked
+        sizes, kept = {}, {}
     else:
         keep = ((0,) * n).__eq__ if include_vectors else lambda d: list(d) == sorted(d)
-        sizes, kept, used = _blocks(cx, wh, m_top, n, keep)
+        sizes, kept = _blocks(cx, wh, m_top, n, keep)
     for i in range(n if include_vectors else 0):
         field = (tuple(int(j == i) for j in range(n)), i + 1)
-        for t in used:
+        for t in cx.tokens:
             di = token_multidegree(t)[i]
             if (got := cx.bracket(field, t)) != ({t: di} if di else {}):
                 raise ArithmeticError(f"x_{i + 1} d/dx_{i + 1} does not act on {t} by {di}: {got}")
@@ -317,19 +322,17 @@ def double_weight_betti(w: int, h: int, n: int, include_vectors=False, cap=None)
 
 def _blocks(cx, w, m_top, n, keep):
     """Walk C_m^w once for each m = 1 .. m_top and split it by multidegree:
-    {d: [dim of block d at each m]} over all blocks, {d: {m: run keys}} over
-    those with keep(d), and the tokens met.  A token adds d_i + 1 to digit i
-    of one int, so a key's block is a single sum.
+    {d: [dim of block d at each m]} over all blocks and {d: {m: run keys}}
+    over those with keep(d).  A token adds d_i + 1 to digit i of one int, so
+    a key's block is a single sum.
     """
     base = abs(w[1] - w[0]) + n * m_top + 1  # at degree m a digit is d_i + m <= h - w + n m
     packed = [sum((c + 1) * base ** i for i, c in enumerate(token_multidegree(t))) for t in cx.tokens]
-    sizes, kept, used = {}, {}, set()
+    sizes, kept = {}, {}
     for m in range(1, m_top + 1):
-        groups, tokens = cx.split(m, w, packed)
-        used |= tokens
-        for p, keys in groups.items():
+        for p, keys in cx.split(m, w, packed).items():
             d = tuple(p // base ** i % base - m for i in range(n))
             sizes.setdefault(d, [0] * m_top)[m - 1] = len(keys)
             if keep(d):
                 kept.setdefault(d, {})[m] = keys
-    return sizes, kept, used
+    return sizes, kept

@@ -244,14 +244,14 @@ class WeightedComplex:
 
     def split(self, m, w, values):
         """The run keys of C_m^w by the sum over their factors of values[i]
-        for the token self.tokens[i], {sum: [run keys]}, and the set of
-        tokens met.  Not memoized: the caller keeps the groups it needs."""
+        for the token self.tokens[i], {sum: [run keys]}.  Not memoized: the
+        caller keeps the groups it needs."""
         keys = self._run_keys(m, w)
         del self._key_cache[m, _as_tuple(w)]
         groups = {}
         for key in keys:
             groups.setdefault(sum(values[i] * k for i, k in key), []).append(key)
-        return groups, {self.tokens[i] for i, _ in set().union(*keys)}
+        return groups
 
     def _flat(self, key):
         """The canonical product of a run key: each token repeated k times."""
@@ -416,12 +416,7 @@ def forms_bracket(spec):
 
 def forms_complex(spec, cap=None) -> WeightedComplex:
     """The invariant-forms chain complex: basis subsets as tokens."""
-    return _forms_complex(spec, None, cap)
-
-
-def _forms_complex(spec, w, cap):
-    """forms_complex on the levels that occur at weight w (all if w is None)."""
-    return WeightedComplex(form_levels(spec.n, w), forms_bracket(spec), cap)
+    return WeightedComplex(form_levels(spec.n), forms_bracket(spec), cap)
 
 
 def chain_dim(spec_or_n, m: int, w: int) -> int:

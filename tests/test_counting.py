@@ -215,7 +215,7 @@ def test_library_block_sizes_match_split_levels(w, h):
     levels, cases = multidegree_cases(w, h, True, top + 1)
     split = WeightedComplex(levels, zero_bracket)
     cx = double_weight_complex(2, h, top + 1, include_vectors=True)
-    sizes, _, _ = _blocks(cx, (w, h), top, 2, lambda d: False)
+    sizes, _ = _blocks(cx, (w, h), top, 2, lambda d: False)
     got = {(m, (w, h, *d)): size for d, row in sizes.items()
            for m, size in enumerate(row, start=1) if size}
     assert got == {case: split.dim(*case) for case in cases

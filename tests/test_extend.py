@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from formchains import extend, forms, superchain
+from formchains import extend, forms, homology, superchain
 from formchains.extend import (
     check_extended_jacobi,
     check_system_jacobi,
@@ -305,8 +305,8 @@ def test_only_the_form_levels_a_weight_reaches_are_built(monkeypatch):
             super().__init__(levels, bracket, cap)
             built.append(len(self.tokens))
 
-    monkeypatch.setattr(superchain, "WeightedComplex", Recording)
-    monkeypatch.setattr(extend, "WeightedComplex", Recording)
+    for module in (superchain, extend, homology):
+        monkeypatch.setattr(module, "WeightedComplex", Recording)
     assert betti_row(catalog("abelian(19)"), -2).dims == (19, 1)
     six = catalog("abelian(6)")
     # the one factor 1 and m - 1 of the 6 vectors

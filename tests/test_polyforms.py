@@ -442,6 +442,15 @@ def test_betti_fill_heavy_complex_frozen():
     assert rep.betti == (0, 0, 0, 192, 0, 0, 0)
 
 
+def test_betti_blocks_of_forms2_frozen():
+    # n = 2 at (w, h) = (-9, 2), one block per S_n orbit ranked; the Betti
+    # numbers are those of the whole space
+    rep = double_weight_betti(-9, 2, 2)
+    assert rep.dims == (0, 0, 52, 3828, 18608, 33800, 33092, 17508, 3906)
+    assert rep.ranks == (0, 0, 0, 52, 3770, 14310, 19490, 13602, 3906)
+    assert rep.betti == (0, 0, 0, 6, 528, 0, 0, 0, 0)
+
+
 def test_euler_vanishes_with_vectors():
     # Euler needs dimensions only, so skip the rank computations and
     # check the alternating dimension sum over the whole support
@@ -489,6 +498,50 @@ def test_blocks_match_full_homology(n, w, h, vectors):
     rep = double_weight_betti(w, h, n, include_vectors=vectors)
     cx = double_weight_complex(n, h, support_top(w, h, n, vectors) + 1, vectors)
     assert rep == complex_homology(cx, (w, h), len(rep.dims), f"poly{n}" + "+T" * vectors)
+
+
+# vector fields on and off the diagonal, h < w included; every n <= 2 case
+# has a chain with a factor at the bound
+LEVEL_BOUND_CASES = [
+    (-3, -1, 3), (-1, 0, 3), (0, 0, 3), (0, -2, 3), (-2, 1, 3),
+    (-1, -1, 2), (0, 3, 2), (0, 0, 2), (-2, 1, 2), (0, -2, 2),
+    (-1, -1, 1), (-3, 0, 1), (-1, 1, 1),
+]
+
+
+class Built(Exception):
+    pass
+
+
+def built_complex(w, h, n, monkeypatch):
+    # the complex double_weight_betti builds, taken before it counts
+    real = polyforms.double_weight_complex
+
+    def build(*args, **kwargs):
+        raise Built(real(*args, **kwargs))
+
+    with monkeypatch.context() as patch, pytest.raises(Built) as got:
+        patch.setattr(polyforms, "double_weight_complex", build)
+        double_weight_betti(w, h, n, include_vectors=True)
+    return got.value.args[0]
+
+
+@pytest.mark.parametrize("w, h, n", LEVEL_BOUND_CASES)
+def test_levels_stop_at_the_heaviest_usable_token(w, h, n, monkeypatch):
+    # a factor of secondary weight s leaves h - s to the others, each >= -1,
+    # and only the constant forms (at most -w) and the n fields d/dx_i (each
+    # at most once) weigh -1: so s <= h - w + n
+    bound, top = h - w + n, support_top(w, h, n, True)
+    cx = built_complex(w, h, n, monkeypatch)
+    assert max(token_weights(t)[1] for t in cx.tokens) <= bound
+    full = double_weight_complex(n, h, top + 1, True)
+    assert [cx.dim(m, (w, h)) for m in range(1, top + 2)] == [
+        full.dim(m, (w, h)) for m in range(1, top + 2)]
+    if n <= 2:  # the bound is sharp
+        assert any(token_weights(t)[1] == bound for m in range(1, top + 1)
+                   for chain in cx.basis(m, (w, h)) for t in chain)
+    elif h != w:
+        assert set(double_weight_betti(w, h, n, include_vectors=True).betti) == {0}
 
 
 def test_empty_support_gives_an_empty_report():
@@ -577,6 +630,20 @@ def broken_torus_eigenvalue(pf):
     return "poly_bracket", bracket
 
 
+def unwalked_torus_eigenvalue(pf):
+    # x_1 d/dx_1 acts on the token dx_1, which no chain of (-1, -1) uses,
+    # by 2 instead of 1
+    real = pf.poly_bracket
+
+    def bracket(x, y):
+        out = real(x, y)
+        if x == {((1, 0), 1): 1} and y == {((0, 0), (1,)): 1}:
+            return {key: 2 * v for key, v in out.items()}
+        return out
+
+    return "poly_bracket", bracket
+
+
 def term_in_another_block(pf):
     # L_{d/dx_1} x_1^2 = 2 x_1 answered as 2 x_2: equal weights, multidegree
     # (0, 1) instead of (1, 0)
@@ -618,6 +685,8 @@ ACYCLIC_BREAKS = [
 BLOCK_BREAKS = [
     (broken_torus_eigenvalue, (-1, -1, 2, True), ArithmeticError,
      "x_1 d/dx_1 does not act on ((1, 0), 2) by 1: {((1, 0), 2): 2}"),
+    (unwalked_torus_eigenvalue, (-1, -1, 2, True), ArithmeticError,
+     "x_1 d/dx_1 does not act on ((0, 0), (1,)) by 1: {((0, 0), (1,)): 2}"),
     (term_in_another_block, (-1, -1, 2, True), AssertionError,
      "boundary left the block of weight (-1, -1): (((0, 0), 1), ((0, 0), 2), ((0, 1), 1), "
      "((0, 1), 2), ((1, 0), 1), ((2, 0), ())) -> (((0, 0), 2), ((0, 1), 1), ((0, 1), 2), "
