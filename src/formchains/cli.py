@@ -160,29 +160,26 @@ def cmd_validate(args) -> int:
     return EXIT_OK if lie.ok and forms.ok else EXIT_MATH
 
 
-def cmd_betti(args) -> int:
-    spec = resolve_lie_algebra(args)
+def _tabulate(args, report, floor=0, euler_column=False) -> int:
+    """Emit report(w, cap=cap) for each requested weight below floor, the
+    cap resolved before the weights."""
     cap = resolve_cap(args)
-    ws = gather_weights(args, floor=0)
-    tasks = [partial(betti_row, spec, w, cap=cap) for w in ws]
-    return emit(args, run_reports(tasks, args.jobs))
+    tasks = [partial(report, w, cap=cap) for w in gather_weights(args, floor)]
+    return emit(args, run_reports(tasks, args.jobs), euler_column)
+
+
+def cmd_betti(args) -> int:
+    return _tabulate(args, partial(betti_row, resolve_lie_algebra(args)))
 
 
 def cmd_extended(args) -> int:
-    spec = resolve_lie_algebra(args)
-    cap = resolve_cap(args)
-    ws = gather_weights(args, floor=0)
-    tasks = [partial(extended_betti, spec, w, cap=cap) for w in ws]
-    return emit(args, run_reports(tasks, args.jobs), euler_column=True)
+    return _tabulate(args, partial(extended_betti, resolve_lie_algebra(args)), euler_column=True)
 
 
 def cmd_polyweight(args) -> int:
-    cap = resolve_cap(args)
+    report = partial(double_weight_betti, h=args.h, n=args.n, include_vectors=args.vectors)
     # with vector fields w = 0 is a live (pure vector) sector
-    ws = gather_weights(args, floor=1 if args.vectors else 0)
-    tasks = [partial(double_weight_betti, w, args.h, args.n,
-                     include_vectors=args.vectors, cap=cap) for w in ws]
-    return emit(args, run_reports(tasks, args.jobs), euler_column=True)
+    return _tabulate(args, report, floor=1 if args.vectors else 0, euler_column=True)
 
 
 # --- golden tables ----------------------------------------------------------------

@@ -35,7 +35,7 @@ from types import SimpleNamespace
 
 from .forms import _merge, _sign, add_into, add_term
 from .homology import _report, complex_homology
-from .superchain import Level, WeightedComplex, enumerate_monomials
+from .superchain import Level, WeightedComplex
 
 PolyForm = dict    # {(exponent tuple, index subset): int or Fraction}
 PolyVector = dict  # {(exponent tuple, direction index): int or Fraction}
@@ -239,8 +239,9 @@ def double_weight_complex(n: int, h: int, m_top: int,
 
 def double_weight_basis(m: int, w: int, h: int, n: int,
                         include_vectors=False, cap=None):
-    """All degree-m monomials of primary weight w and secondary weight h."""
-    return enumerate_monomials(poly_levels(n, m, h, include_vectors), m, (w, h), cap=cap)
+    """All degree-m monomials of primary weight w and secondary weight h,
+    listed from the tokens they can use, as double_weight_betti lists them."""
+    return double_weight_complex(n, h, min(m, n - w + 1), include_vectors, cap).basis(m, (w, h))
 
 
 def support_top(w: int, h: int, n: int, include_vectors=False) -> int:

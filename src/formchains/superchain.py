@@ -89,7 +89,9 @@ class WeightedComplex:
 
     bracket(a, b) returns {token: int or Fraction}, else boundary_matrix
     raises TypeError; it is called once per pair, its terms kept by ids until
-    self.bracket is set anew.  Callers that only count or list pass None.
+    self.bracket is set anew.  A bracket term with no row in the boundary
+    is an AssertionError, even if others would cancel it.  Callers that
+    only count or list pass None.
     The counts, bases and picks depend only on the levels, so they survive
     cx.bracket = ...: complexes that differ only in their bracket can share
     one WeightedComplex, given each bracket in turn.
@@ -268,8 +270,10 @@ class WeightedComplex:
         return [self._flat(key) for key in self._run_keys(m, w)]
 
     def _image(self, key, index):
-        """bd of one product, from its run key: {row in index: coefficient},
-        and {run key: coefficient} of the terms not in index.
+        """bd of one product, from its run key: ({row in index: coefficient},
+        None), or (the terms so far, its target) at the first bracket term
+        whose target has no row, so that term is an error even if later ones
+        would cancel it.
 
         The key has no repeated even factor, as every basis key.  bracket(A,
         B) must be homogeneous of grade a + b.
@@ -300,7 +304,7 @@ class WeightedComplex:
         for i, k in key:
             starts.append(starts[-1] + k)
             evens.append(evens[-1] + (0 if odd[i] else k))
-        col, aside = {}, {}
+        col = {}
         for a, (ia, ka) in enumerate(key):
             pa = odd[ia]
             for b in range(a if ka > 1 else a + 1, len(key)):
@@ -331,6 +335,9 @@ class WeightedComplex:
                         tgt = rest[:y] + ((t, rest[y][1] + 1),) + rest[y + 1:]
                     else:
                         tgt = rest[:y] + ((t, 1),) + rest[y:]
+                    row = index.get(tgt)
+                    if row is None:
+                        return col, tgt
                     # the crossed factors are R(t) - R(id_b) up to sign, R(v)
                     # counting those of the rest below id v: the key's prefix
                     # count less A_a if ia < v and A_b if ib < v
@@ -340,29 +347,23 @@ class WeightedComplex:
                                    + ((ia < t) + (a != b)) * (1 - pa))
                     else:
                         crossed = starts[x] + starts[b] + (ib < t) + (ia < t) + (a != b)
-                    row = index.get(tgt)
-                    cf *= -mult if crossed % 2 else mult
-                    if row is None:
-                        add_term(aside, tgt, cf)
-                    else:
-                        add_term(col, row, cf)
-        return col, aside
+                    add_term(col, row, cf * (-mult if crossed % 2 else mult))
+        return col, None
 
     def boundary_matrix(self, m, w, columns=None, keys=None) -> SparseRationalMatrix:
         """The matrix of bd: C_m^w -> C_{m-1}^w in the enumerated bases.
 
-        Columns and rows are the run keys of the basis walk; no flat
-        product is built unless the boundary leaves the weight space, to
-        name it.  Given columns, a list of basis positions, only those are
-        assembled, column c of the matrix being the image of columns[c].
-        Given keys, {degree: run keys} of a block bd must keep, they stand
-        in for the bases.
-        self.bracket is read here, at call time.
+        Columns and rows come from one {degree: run keys} map: keys, those
+        of a block bd must keep, else the basis walks of degrees m and m - 1.
+        A bracket term with no row raises AssertionError, naming it, even if
+        others would cancel it.  Given columns, a list of basis positions,
+        only those are assembled, column c of the matrix being the image of
+        columns[c].  self.bracket is read here, at call time.
         """
+        where = "space" if keys is None else "block"
         if keys is None:
-            cols, rows = self._run_keys(m, w), self._run_keys(m - 1, w) if m >= 1 else []
-        else:
-            cols, rows = keys.get(m, []), keys.get(m - 1, [])
+            keys = {m: self._run_keys(m, w), m - 1: self._run_keys(m - 1, w) if m >= 1 else []}
+        cols, rows = keys.get(m, []), keys.get(m - 1, [])
         if columns is not None:
             cols = [cols[c] for c in columns]
         index = {key: r for r, key in enumerate(rows)}
@@ -370,12 +371,10 @@ class WeightedComplex:
             self._terms = (self.bracket, {})
         out = []
         for key in cols:
-            col, aside = self._image(key, index)
-            if aside:
-                raise AssertionError(
-                    f"boundary left the {'space' if keys is None else 'block'} of weight {w}: "
-                    f"{self._flat(key)} -> {self._flat(next(iter(aside)))}"
-                )
+            col, stray = self._image(key, index)
+            if stray is not None:
+                raise AssertionError(f"boundary left the {where} of weight {w}: "
+                                     f"{self._flat(key)} -> {self._flat(stray)}")
             out.append(col)
         return SparseRationalMatrix.from_columns(len(rows), out)
 

@@ -539,6 +539,15 @@ def test_goldens_empty_file_is_a_mismatch(golden_copy, capsys):
     assert "dim2_betti.csv: empty" in out
 
 
+@pytest.mark.parametrize("got, messages", [
+    ("algebra,m,betti\nso3,1,3\nso3,2,1\n", ["t.csv: header 'algebra,m,dim' != 'algebra,m,betti'"]),
+    ("algebra,m,dim\nso3,1,3\n", ["t.csv: row missing (algebra=so3, m=2)"]),
+    ("algebra,m,dim\nso3,1,3\nso3,2,1\nso3,3,1\n", ["t.csv: unexpected row (algebra=so3, m=3)"]),
+], ids=["header", "missing-row", "unexpected-row"])
+def test_diff_csv_names_each_difference(got, messages):
+    assert cli._diff_csv("t.csv", "algebra,m,dim\nso3,1,3\nso3,2,1\n", got) == messages
+
+
 def test_goldens_missing_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "GOLDEN_DIR", str(tmp_path))
     assert main(["goldens"]) == 2

@@ -30,6 +30,12 @@ def from_rows(rows):
     return m
 
 
+@pytest.mark.parametrize("shape", [(-1, 2), (2, -1)])
+def test_negative_size_is_rejected(shape):
+    with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
+        SparseRationalMatrix(*shape)
+
+
 def test_zero_matrix_rank():
     assert rank(SparseRationalMatrix(5, 7)) == 0
     assert kernel_dim(SparseRationalMatrix(5, 7)) == 7

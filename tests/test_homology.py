@@ -1,9 +1,11 @@
 import inspect
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from textwrap import indent
 
 import pytest
 
@@ -115,6 +117,8 @@ def test_dim2_pattern_values():
     assert betti_pattern_dim2(-7) == (0, 0, 1, 0, 0, 1, 1)
     assert betti_pattern_dim2(-10) == (0, 0, 0, 1, 0, 0, 0, 0, 1, 1)
     assert betti_pattern_dim2(-12) == (0,) * 10 + (1, 1)
+    with pytest.raises(ValueError, match="^weight must be negative$"):
+        betti_pattern_dim2(0)
 
 
 def test_sl2r_betti_equals_so3():
@@ -193,6 +197,37 @@ def test_negative_betti_raises_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("False\nstub at weight -2"), proc.stdout
+
+
+# always-on checks: a snippet that trips each one, and the message it raises
+ALWAYS_ON = {
+    "negative-betti": (
+        "from formchains.homology import _report\n"
+        "_report('x', -2, [1, 1], [1, 1])",
+        "x at weight -2: negative Betti numbers (-1, 0)"),
+    "walk-count": (
+        "from formchains.superchain import WeightedComplex, form_levels\n"
+        "cx = WeightedComplex(form_levels(3), None)\n"
+        "cx.dim = lambda m, w: WeightedComplex.dim(cx, m, w) + 1  # over-counts by one\n"
+        "cx.basis(3, -5)",
+        "enumerated 6 monomials at degree 3, weight -5, but counted 7"),
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["in-process", "python-O"])
+@pytest.mark.parametrize("case", ALWAYS_ON)
+def test_always_on_checks_raise(case, optimize):
+    snippet, message = ALWAYS_ON[case]
+    if not optimize:
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            exec(snippet, {})
+        return
+    script = f"try:\n{indent(snippet, '    ')}\nexcept ArithmeticError as exc:\n    print(__debug__, exc)"
+    src = os.path.dirname(os.path.dirname(formchains.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"False {message}\n", "")
 
 
 def test_nonvanishing_top_fails_before_any_rank():
@@ -402,6 +437,10 @@ def test_predicted_rank_first_mismatch_per_family():
 def test_predicted_rank_rejects_unknown_family():
     with pytest.raises(ValueError):
         predicted_rank("d4", 1, -3)
+
+
+def test_predicted_rank_vanishes_above_the_top_degree():
+    assert [predicted_rank(family, 4, -3) for family in KER3] == [0] * 5
 
 
 def test_rank_formula_rows_abelian():

@@ -186,6 +186,19 @@ def test_lie_derivative_hand_value():
     assert poly_bracket(form, vec) == {((0, 0), (2,)): F(-1)}
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: monomial_vector((1, -1), 1), "exponents must be nonnegative, got (1, -1)"),
+    (lambda: double_weight({((0,), (1,)): 1, ((1,), 1): 1}),
+     "element is not doubly homogeneous: [(-2, -1), (0, 0)]"),
+    (lambda: vector_commutator({((1,), 1): 1}, {((1, 0), 1): 1}), "ambient dimensions differ"),
+    (lambda: lie_derivative({((0,), (1,)): 1}, {((0,), (1,)): 1}),
+     "lie_derivative takes a vector field and a form"),
+], ids=["negative-exponent", "mixed-weights", "across-dimensions", "form-first"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_mixed_element_rejected():
     bad = {((0,), ()): F(1), ((0,), 1): F(1)}
     with pytest.raises(ValueError):

@@ -518,6 +518,17 @@ def test_boundary_outside_the_weight_space_is_rejected():
         complex_homology(cx, -2, 2, "a")
 
 
+def test_stray_terms_are_rejected_even_when_they_cancel():
+    # [a, b] = b and [a, c] = -c break homogeneity: bd(abc) sends +bc and
+    # -bc to weight -4, where C_2^{-6} has no row; the first one stops it
+    table = {("a", "b"): {"b": 1}, ("a", "c"): {"c": -1}}
+    cx = WeightedComplex([Level(-2, (-2,), ("a", "b", "c"))],
+                         lambda x, y: table.get((x, y), {}))
+    message = "boundary left the space of weight -6: ('a', 'b', 'c') -> ('b', 'c')"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        cx.boundary_matrix(3, -6)
+
+
 def test_token_system_brackets_each_pair_once():
     g = catalog("so3")
     calls = Counter()
