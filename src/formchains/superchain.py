@@ -23,9 +23,9 @@ pairs in id order, where a token's id is its index in the canonical order
 (a long 1^k run in deep form weights is one pair).  The walk emits run keys
 and boundary_matrix reads them; only basis expands them into canonical
 product tuples, the form every public function returns.  Boundaries are
-assembled per pair of runs: one memo read and one insertion per bracket
-term, the position-pair signs folded into one integer coefficient and the
-insertion sign read off prefix counts of the key.
+assembled per pair of runs: one memo read, one rest sliced from the key and
+one insertion per bracket term, the position-pair signs folded into one
+multiplicity and one parity read off prefix counts of the key.
 """
 
 from __future__ import annotations
@@ -38,17 +38,10 @@ from math import comb
 
 from .exactla import SparseRationalMatrix
 from . import forms
-from .forms import _sign, add_term
 
 
 class EnumerationCapExceeded(Exception):
     """Raised when a basis enumeration grows past the configured cap."""
-
-
-def _drop(key, c):
-    """The run key with one factor of its run c taken out."""
-    i, k = key[c]
-    return key[:c] + ((i, k - 1),) + key[c + 1:] if k > 1 else key[:c] + key[c + 1:]
 
 
 @dataclass(frozen=True)
@@ -296,58 +289,72 @@ class WeightedComplex:
         across the factors of the rest whose id lies in [min(t, id_b),
         max(t, id_b)), only the even ones if t is odd; an even t that meets
         its equal kills the term.
+
+        The rest is sliced from the key: the self-pair drops 2 from run a,
+        or the whole run if k_a = 2, and a pair a < b drops 1 from each.
+        Signs are parities, e_a counting the even factors before run a: the
+        exponent at the first j is s_a for an even run a or the self-pair,
+        and s_a - 1 + (odd factors from s_a up to s_b), so 1 + s_b - e_b +
+        e_a, for an odd run a; the crossed factors add their b part once
+        per run pair and their t part per term, and an odd sum flips cf.
         """
         tokens, ids, odd, n = self.tokens, self._ids, self._odd, len(self.tokens)
         bracket, terms = self._terms
         # factors before each run (and before the end): all, and the even ones
-        starts, evens = [0], [0]
+        starts, evens, s, e = [0], [0], 0, 0
         for i, k in key:
-            starts.append(starts[-1] + k)
-            evens.append(evens[-1] + (0 if odd[i] else k))
+            s, e = s + k, e if odd[i] else e + k
+            starts.append(s)
+            evens.append(e)
         col = {}
         for a, (ia, ka) in enumerate(key):
-            pa = odd[ia]
+            row_a = ia * n
             for b in range(a if ka > 1 else a + 1, len(key)):
                 ib, kb = key[b]
-                br = terms.get(p := ia * n + ib)
+                try:
+                    br = terms[row_a + ib]
+                except KeyError:
+                    br = None  # bracketed below, so its errors chain to no KeyError
                 if br is None:
                     ab = tokens[ia], tokens[ib]
                     br = tuple((ids[t], cf) for t, cf in bracket(*ab).items())
                     if bad := [cf for _, cf in br if not isinstance(cf, (int, Fraction))]:
                         raise TypeError(f"bracket{ab!r} has the non-exact coefficient {bad[0]!r}")
-                    terms[p] = br
+                    terms[row_a + ib] = br
                 if not br:
                     continue
-                if a == b:
-                    mult = ka * (ka - 1) // 2
+                pa, ea = odd[ia], 1 - odd[ia]
+                if ne := a != b:
+                    mult, par = ka * kb, 1 + starts[b] - evens[b] + evens[a] if pa else starts[a]
+                    rest = ((key[:a] + ((ia, ka - 1),) if ka > 1 else key[:a]) + key[a + 1:b]
+                            + (((ib, kb - 1),) + key[b + 1:] if kb > 1 else key[b + 1:]))
                 else:
-                    # the exponent at the first j is s_a for an even run a,
-                    # and s_a - 1 + (odd factors from s_a up to s_b) for an odd one
-                    odds = starts[b] - starts[a] - evens[b] + evens[a]
-                    mult = (ka * _sign(1 + odds) if pa else 1) * kb
-                mult *= _sign(starts[a])
-                rest = _drop(_drop(key, b), a)
+                    mult, par = ka * (ka - 1) // 2, starts[a]
+                    rest = key[:a] + ((ia, ka - 2),) + key[a + 1:] if ka > 2 else key[:a] + key[a + 1:]
+                # the crossed factors are R(t) - R(id_b) up to sign, R(v)
+                # counting those of the rest below id v (the even ones if t
+                # is odd): the key's prefix less A_a if ia < v, A_b if ib < v
+                po, pe, eb = par + evens[b] + ne * ea, par + starts[b] + ne, 1 - odd[ib]
                 for t, cf in br:
-                    y = bisect_left(rest, (t,))
-                    if y < len(rest) and rest[y][0] == t:
-                        if not odd[t]:
-                            continue  # an even factor met its equal
-                        tgt = rest[:y] + ((t, rest[y][1] + 1),) + rest[y + 1:]
+                    tk = (t,)
+                    y = bisect_left(rest, tk)
+                    met = y < len(rest) and rest[y][0] == t
+                    if odd[t]:
+                        tgt = rest[:y] + ((t, rest[y][1] + 1 if met else 1),) + rest[y + met:]
+                        sgn = po + evens[bisect_left(key, tk)] + (ib < t) * eb + (ia < t) * ea
+                    elif met:
+                        continue  # an even factor met its equal
                     else:
                         tgt = rest[:y] + ((t, 1),) + rest[y:]
+                        sgn = pe + starts[bisect_left(key, tk)] + (ib < t) + (ia < t)
                     row = index.get(tgt)
                     if row is None:
                         return col, tgt
-                    # the crossed factors are R(t) - R(id_b) up to sign, R(v)
-                    # counting those of the rest below id v: the key's prefix
-                    # count less A_a if ia < v and A_b if ib < v
-                    x = bisect_left(key, (t,))
-                    if odd[t]:
-                        crossed = (evens[x] + evens[b] + (ib < t) * (1 - odd[ib])
-                                   + ((ia < t) + (a != b)) * (1 - pa))
+                    v = col.get(row, 0) + (-cf * mult if sgn & 1 else cf * mult)
+                    if v:
+                        col[row] = v
                     else:
-                        crossed = starts[x] + starts[b] + (ib < t) + (ia < t) + (a != b)
-                    add_term(col, row, cf * (-mult if crossed % 2 else mult))
+                        col.pop(row, None)
         return col, None
 
     def boundary_matrix(self, m, w, columns=None, keys=None) -> SparseRationalMatrix:
@@ -405,12 +412,22 @@ def form_levels(n: int, w=None):
 
 
 def forms_bracket(spec):
-    """The bracket of two form tokens in the forms superalgebra of spec.
+    """forms.super_bracket({a: 1}, {b: 1}, spec) of two form tokens, in a new
+    dict on each call: (-1)^|a| d(a ^ b), with d of each basis form a ^ b
+    kept in a memo of the function.
 
     A new function on each call, so setting it as a complex's bracket
     starts that complex's bracket memo over.
     """
-    return lambda a, b: forms.super_bracket({a: 1}, {b: 1}, spec)
+    d = {}
+
+    def bracket(a, b):
+        sign, ab = forms._merge(a, b)  # (0, None) if a and b meet
+        if ab not in d:
+            d[ab] = forms.ext_d({ab: 1}, spec) if sign else {}
+        sign *= forms._sign(len(a))
+        return {t: sign * cf for t, cf in d[ab].items()}
+    return bracket
 
 
 def forms_complex(spec, cap=None) -> WeightedComplex:

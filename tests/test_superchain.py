@@ -25,6 +25,7 @@ from formchains.superchain import (
     enumerate_monomials,
     form_levels,
     format_monomial,
+    forms_bracket,
     forms_complex,
 )
 
@@ -437,17 +438,77 @@ def test_images_match_sorting_oracle_poly(n, w, h, vectors):
     assert_images_match_oracle(cx, (w, h), range(1, m_top + 1))
 
 
-@pytest.mark.parametrize("name", ["so3", "d1n"])
+@pytest.mark.parametrize("name", ["so3", "d1n", "sl2r"])
 def test_images_match_sorting_oracle_deep_forms(name):
     # the top five degrees at w = -16 .. -20 hold 1^k runs with k = 9 .. 20
     cx = forms_complex(catalog(name))
     for w in range(-16, -21, -1):
         assert_images_match_oracle(cx, w, range(-w - 4, -w + 1))
+    # the lowest nonzero degrees at the benchmark's w = -36, whose keys hold
+    # the most runs of 2-forms
+    assert [cx.dim(m, -36) for m in range(11, 15)] == [0, 289, 531, 486]
+    assert_images_match_oracle(cx, -36, range(12, 15))
 
 
 def test_images_match_sorting_oracle_deep_extended():
     cx = extended_complex(catalog("so3"))
     assert_images_match_oracle(cx, -8, range(1, 8 + 3 + 1))
+
+
+# a hand-made complex whose brackets drive every branch of the assembly;
+# weight = grade, so each bracket is homogeneous in both.  Canonical order:
+# y z | f g h | a b c | u v | r, odd at grades 1, -1 and -3
+BRANCH_LEVELS = [Level(1, 1, ("y", "z")), Level(0, 0, ("f", "g", "h")),
+                 Level(-1, -1, ("a", "b", "c")), Level(-2, -2, ("u", "v")),
+                 Level(-3, -3, ("r",))]
+BRANCH_TABLE = {
+    ("a", "a"): {"u": 1},                  # self-pairs a^2 (run gone) and a^3
+    ("a", "b"): {"v": Fraction(1, 2)},     # a < b, k_a and k_b each 1 or 2
+    ("z", "g"): {"y": 1},                  # odd new run below both ids
+    ("g", "h"): {"f": 1},                  # even new run below both; dies in f g h
+    ("g", "a"): {"a": 1, "b": 1},          # in g a b: b meets its odd equal, and
+    ("g", "b"): {"b": -1, "c": 1},         # g.b's a b cancels g.a's; c above both
+    ("h", "c"): {"a": 1},                  # odd new run between the ids
+    ("a", "c"): {"v": -1},                 # dies in a c v
+    ("a", "u"): {"r": 1},                  # odd new run above both, even b
+}
+
+
+def branch_bracket(x, y):
+    return BRANCH_TABLE.get((x, y), {})
+
+
+def test_images_cover_every_assembly_branch():
+    cx = WeightedComplex(BRANCH_LEVELS, branch_bracket)
+    sort, insert = oracle.boundary_by_sorting, oracle.boundary_by_insertion
+    half = Fraction(1, 2)
+    # each product is a basis key; its image pins the branch it takes
+    for mono, image in [
+        (("a", "a"), {("u",): 1}),                               # self-pair, k = 2
+        (("a", "a", "a"), {("a", "u"): -3}),                     # self-pair, k = 3
+        (("a", "b"), {("v",): half}),                            # k_a = k_b = 1
+        (("a", "a", "b"), {("b", "u"): -1, ("a", "v"): -1}),     # k_a = 2
+        (("a", "b", "b"), {("b", "v"): -1}),                     # k_b = 2
+        (("a", "a", "b", "b"), {("b", "b", "u"): 1, ("a", "b", "v"): 2}),
+        (("g", "h"), {("f",): 1}),                               # even run below both
+        (("f", "g", "h"), {}),                                   # f meets its equal
+        (("a", "c", "v"), {}),                                   # v meets its equal
+        (("z", "z", "g"), {("y", "z"): -2}),                     # odd run below both
+        (("h", "c"), {("a",): 1}),                               # odd run between
+        (("a", "u"), {("r",): 1}),                               # odd run above both
+        # b meets its odd equal, g.a's a b cancels g.b's, c above both
+        (("g", "a", "b"), {("b", "b"): 1, ("a", "c"): 1, ("g", "v"): -half}),
+    ]:
+        weight = sum(map(cx.grade_of, mono))
+        assert mono in cx.basis(len(mono), weight), mono
+        assert sort(mono, cx.grade_of, branch_bracket) == image, mono
+    # without g.b the a b of g.a stays
+    lone = {pair: br for pair, br in BRANCH_TABLE.items() if pair != ("g", "b")}
+    assert sort(("g", "a", "b"), cx.grade_of,
+                lambda x, y: lone.get((x, y), {}))[("a", "b")] == 1
+    for w in range(-6, 3):
+        for reference in (sort, insert):
+            assert_images_match_oracle(cx, w, range(1, 5), reference)
 
 
 def test_images_match_insertion_oracle():
@@ -527,6 +588,23 @@ def test_stray_terms_are_rejected_even_when_they_cancel():
     message = "boundary left the space of weight -6: ('a', 'b', 'c') -> ('b', 'c')"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         cx.boundary_matrix(3, -6)
+
+
+@pytest.mark.parametrize("name", CATALOG_N3 + ["dim2", "d2(-3/2)", "d2(1/3)", "abelian(4)"])
+def test_forms_bracket_is_the_super_bracket(name):
+    # d2(1/3) has the non-integral constant 2/3, so Fraction terms
+    g = catalog(name)
+    bracket = forms_bracket(g)
+    assert forms_bracket(g) is not bracket
+    tokens = [t for lv in form_levels(g.n) for t in lv.tokens]
+    for a, b in product(tokens, repeat=2):
+        got, want = bracket(a, b), forms.super_bracket({a: 1}, {b: 1}, g)
+        # the same terms in the same order, int staying int
+        typed = [(t, cf, type(cf)) for t, cf in want.items()]
+        assert [(t, cf, type(cf)) for t, cf in got.items()] == typed, (a, b)
+        # each call returns a new dict: editing one leaves the next alone
+        got.update(dict.fromkeys(got, 7), junk=1)
+        assert [(t, cf, type(cf)) for t, cf in bracket(a, b).items()] == typed, (a, b)
 
 
 def test_token_system_brackets_each_pair_once():
