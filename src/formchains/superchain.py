@@ -290,13 +290,11 @@ class WeightedComplex:
         max(t, id_b)), only the even ones if t is odd; an even t that meets
         its equal kills the term.
 
-        The rest is sliced from the key: the self-pair drops 2 from run a,
-        or the whole run if k_a = 2, and a pair a < b drops 1 from each.
-        Signs are parities, e_a counting the even factors before run a: the
-        exponent at the first j is s_a for an even run a or the self-pair,
-        and s_a - 1 + (odd factors from s_a up to s_b), so 1 + s_b - e_b +
-        e_a, for an odd run a; the crossed factors add their b part once
-        per run pair and their t part per term, and an odd sum flips cf.
+        The rest is sliced from the key: the self-pair drops 2 from run a
+        (the whole run if k_a = 2), a pair a < b 1 from each.  The exponent
+        at the first j is s_a, or s_a - 1 + (odd factors from s_a up to s_b)
+        = 1 + s_b - e_b + e_a mod 2 for an odd run a < b (e_a: even factors
+        before run a); with the crossed factors, an odd sum flips cf.
         """
         tokens, ids, odd, n = self.tokens, self._ids, self._odd, len(self.tokens)
         bracket, terms = self._terms
@@ -308,22 +306,18 @@ class WeightedComplex:
             evens.append(e)
         col = {}
         for a, (ia, ka) in enumerate(key):
-            row_a = ia * n
+            row_a, pa, ea = ia * n, odd[ia], 1 - odd[ia]
             for b in range(a if ka > 1 else a + 1, len(key)):
                 ib, kb = key[b]
-                try:
-                    br = terms[row_a + ib]
-                except KeyError:
-                    br = None  # bracketed below, so its errors chain to no KeyError
+                br = terms.get(p := row_a + ib)
                 if br is None:
                     ab = tokens[ia], tokens[ib]
                     br = tuple((ids[t], cf) for t, cf in bracket(*ab).items())
                     if bad := [cf for _, cf in br if not isinstance(cf, (int, Fraction))]:
                         raise TypeError(f"bracket{ab!r} has the non-exact coefficient {bad[0]!r}")
-                    terms[row_a + ib] = br
+                    terms[p] = br
                 if not br:
                     continue
-                pa, ea = odd[ia], 1 - odd[ia]
                 if ne := a != b:
                     mult, par = ka * kb, 1 + starts[b] - evens[b] + evens[a] if pa else starts[a]
                     rest = ((key[:a] + ((ia, ka - 1),) if ka > 1 else key[:a]) + key[a + 1:b]
@@ -336,17 +330,16 @@ class WeightedComplex:
                 # is odd): the key's prefix less A_a if ia < v, A_b if ib < v
                 po, pe, eb = par + evens[b] + ne * ea, par + starts[b] + ne, 1 - odd[ib]
                 for t, cf in br:
-                    tk = (t,)
-                    y = bisect_left(rest, tk)
+                    y = bisect_left(rest, (t,))
                     met = y < len(rest) and rest[y][0] == t
                     if odd[t]:
                         tgt = rest[:y] + ((t, rest[y][1] + 1 if met else 1),) + rest[y + met:]
-                        sgn = po + evens[bisect_left(key, tk)] + (ib < t) * eb + (ia < t) * ea
+                        sgn = po + evens[bisect_left(key, (t,))] + (ib < t) * eb + (ia < t) * ea
                     elif met:
                         continue  # an even factor met its equal
                     else:
                         tgt = rest[:y] + ((t, 1),) + rest[y:]
-                        sgn = pe + starts[bisect_left(key, tk)] + (ib < t) + (ia < t)
+                        sgn = pe + starts[bisect_left(key, (t,))] + (ib < t) + (ia < t)
                     row = index.get(tgt)
                     if row is None:
                         return col, tgt
@@ -412,22 +405,12 @@ def form_levels(n: int, w=None):
 
 
 def forms_bracket(spec):
-    """forms.super_bracket({a: 1}, {b: 1}, spec) of two form tokens, in a new
-    dict on each call: (-1)^|a| d(a ^ b), with d of each basis form a ^ b
-    kept in a memo of the function.
+    """The bracket of two form tokens in the forms superalgebra of spec.
 
     A new function on each call, so setting it as a complex's bracket
     starts that complex's bracket memo over.
     """
-    d = {}
-
-    def bracket(a, b):
-        sign, ab = forms._merge(a, b)  # (0, None) if a and b meet
-        if ab not in d:
-            d[ab] = forms.ext_d({ab: 1}, spec) if sign else {}
-        sign *= forms._sign(len(a))
-        return {t: sign * cf for t, cf in d[ab].items()}
-    return bracket
+    return lambda a, b: forms.super_bracket({a: 1}, {b: 1}, spec)
 
 
 def forms_complex(spec, cap=None) -> WeightedComplex:

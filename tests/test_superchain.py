@@ -25,7 +25,6 @@ from formchains.superchain import (
     enumerate_monomials,
     form_levels,
     format_monomial,
-    forms_bracket,
     forms_complex,
 )
 
@@ -588,23 +587,6 @@ def test_stray_terms_are_rejected_even_when_they_cancel():
     message = "boundary left the space of weight -6: ('a', 'b', 'c') -> ('b', 'c')"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         cx.boundary_matrix(3, -6)
-
-
-@pytest.mark.parametrize("name", CATALOG_N3 + ["dim2", "d2(-3/2)", "d2(1/3)", "abelian(4)"])
-def test_forms_bracket_is_the_super_bracket(name):
-    # d2(1/3) has the non-integral constant 2/3, so Fraction terms
-    g = catalog(name)
-    bracket = forms_bracket(g)
-    assert forms_bracket(g) is not bracket
-    tokens = [t for lv in form_levels(g.n) for t in lv.tokens]
-    for a, b in product(tokens, repeat=2):
-        got, want = bracket(a, b), forms.super_bracket({a: 1}, {b: 1}, g)
-        # the same terms in the same order, int staying int
-        typed = [(t, cf, type(cf)) for t, cf in want.items()]
-        assert [(t, cf, type(cf)) for t, cf in got.items()] == typed, (a, b)
-        # each call returns a new dict: editing one leaves the next alone
-        got.update(dict.fromkeys(got, 7), junk=1)
-        assert [(t, cf, type(cf)) for t, cf in bracket(a, b).items()] == typed, (a, b)
 
 
 def test_token_system_brackets_each_pair_once():
